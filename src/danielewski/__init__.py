@@ -40,6 +40,7 @@ from .errors import (
     NoSplittingFound,
     NotComparable,
     ParseError,
+    ProofFormatError,
     RingMismatchError,
     SingularInputError,
     UnsupportedError,

@@ -26,6 +26,7 @@ from .errors import (
     NoSplittingFound,
     NotComparable,
     ParseError,
+    ProofFormatError,
     RingMismatchError,
     SingularInputError,
     UnsupportedError,
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, FileNotFoundError, KeyError, ProofFormatError) as exc:
         print(f"input error: {exc!r}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -33,6 +33,10 @@ class NoSplittingFound(RuntimeError):
         super().__init__(f"no splitting found at degree bounds {self.bounds}")
 
 
+class ProofFormatError(ValueError):
+    """A proof document lacks a key or holds a value of the wrong JSON type."""
+
+
 class ParseError(ValueError):
     """Syntax error with a position in the input text."""
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import RingMismatchError
-from .ratpoly import ORDER_KEYS, Exponent, MultiPoly, substitute
+from .ratpoly import ORDER_KEYS, Exponent, MultiPoly, ring_embed, substitute
 
 # -- monomial helpers -------------------------------------------------
 
@@ -456,168 +456,167 @@ def ideal_member_witness(
     return remainder.is_zero(), tuple(cofactors), remainder
 
 
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its field; the kernel reruns with wider fields."""
+
+
 def substitute_reduced(
     g: MultiPoly,
     images: Mapping[str, MultiPoly],
     division_basis: Sequence[MultiPoly],
     order: str = "grevlex",
 ) -> MultiPoly:
-    """Normal form of ``substitute(g, images)`` modulo the basis.
+    """Normal form of ``substitute(g, images)`` modulo the basis, by one kernel.
 
-    Every intermediate power and product is reduced immediately, so the
-    computation never materializes the raw composite; the result is in the
-    same residue class as the plain substitution and equals its normal form.
-    A single integer generator with unit leading coefficient enables an
-    integer-scaled fast path (one denominator per polynomial, no per-term
-    rational normalization).
+    Nested Horner in ``g`` (last variable of ``g.ring`` outermost) makes every
+    large product "accumulator times a reduced image power", with gaps filled
+    by iterative square-and-multiply and each product reduced at once.
+    Monomials are ints whose order is the term order (packed exponents after
+    Monagan and Pearce): grevlex packs the total degree above the complemented
+    exponents, last variable first; lex packs the exponents.  A product is one
+    add, a divisibility test one masked subtract.  Widths come from a degree
+    bound of the inputs; a key that sets a field's guard bit reruns the kernel
+    with doubled widths, so no carry spills.  Coefficients are integers over
+    one denominator when every divisor is integral with unit leading
+    coefficient, else ``Fraction``.  Modulo a Groebner basis (a single
+    generator is one) the result is the normal form of the plain substitution.
     """
+    if order not in ("grevlex", "lex"):
+        raise ValueError(f"unknown term order {order!r}")
     ring = division_basis[0].ring if division_basis else next(iter(images.values())).ring
-    fast = _fast_reduction_context(division_basis, order)
-    if fast is not None:
-        return _substitute_reduced_int(g, images, ring, fast, order)
-
-    def reduce(p: MultiPoly) -> MultiPoly:
-        return normal_form(p, division_basis, order) if division_basis else p
-
-    base_cache: dict[str, MultiPoly] = {}
-    power_cache: dict[tuple[str, int], MultiPoly] = {}
-
-    def power(name: str, e: int) -> MultiPoly:
-        key = (name, e)
-        if key in power_cache:
-            return power_cache[key]
-        if name not in base_cache:
-            img = images[name]
-            if img.ring != ring:
-                from .ratpoly import ring_embed
-
-                img = ring_embed(img, ring)
-            base_cache[name] = reduce(img)
-        if e == 1:
-            result = base_cache[name]
-        else:
-            result = reduce(power(name, e - 1) * base_cache[name])
-        power_cache[key] = result
-        return result
-
-    acc = MultiPoly.zero(ring)
-    for exp, coeff in g.terms.items():
-        term = MultiPoly.const(ring, coeff)
-        for name, e in zip(g.ring, exp):
-            if e:
-                term = reduce(term * power(name, e))
-        acc = acc + term
-    return reduce(acc)
+    used = {v: images[v] for i, v in enumerate(g.ring) if any(exp[i] for exp in g.terms)}
+    used = {v: p if p.ring == ring else ring_embed(p, ring) for v, p in used.items()}
+    bound = max(
+        [sum(e * used[v].total_degree() for v, e in zip(g.ring, exp) if e) for exp in g.terms]
+        + [p.total_degree() for p in division_basis] + [1]
+    )
+    width = bound.bit_length() + 1
+    while True:
+        try:
+            return _substitute_packed(g, used, division_basis, ring, order, width)
+        except _FieldOverflow:
+            width *= 2
 
 
-def _fast_reduction_context(division_basis, order):
-    """Integer reduction data for a single generator with unit leading term."""
-    if len(division_basis) != 1:
-        return None
-    f = division_basis[0]
-    if any(c.denominator != 1 for c in f.terms.values()):
-        return None
-    lt_exp, lt_coeff = leading_term(f, order)
-    if lt_coeff not in (1, -1):
-        return None
-    f_terms = {e: int(c) for e, c in f.terms.items()}
-    return (f_terms, lt_exp, int(lt_coeff))
+def _substitute_packed(g, base_images, division_basis, ring, order, width) -> MultiPoly:
+    from math import gcd, lcm
 
+    n, top, mask = len(ring), (1 << (width - 1)) - 1, (1 << width) - 1
+    guard = sum(1 << (width * i + width - 1) for i in range(n))
+    if order == "grevlex":
+        shifts = [width * i for i in range(n)]
+        one = sum(top << s for s in shifts)  # the key of the monomial 1
+        weights = [(1 << (width * n)) - (1 << s) for s in shifts]
+    else:
+        shifts = [width * (n - 1 - i) for i in range(n)]
+        one, weights = 0, [1 << s for s in shifts]
 
-def _int_reduce(work: dict, ctx, order) -> dict:
-    """In-place full reduction of an integer term dict by the context generator."""
-    f_terms, lt_exp, lt_sign = ctx
-    neg = _neg_key(order)
-    heap = [(neg(exp), exp) for exp in work if _divides(lt_exp, exp)]
-    heapq.heapify(heap)
-    while heap:
-        _, exp = heapq.heappop(heap)
-        coeff = work.get(exp)
-        if not coeff or not _divides(lt_exp, exp):
-            continue
-        q_exp = _quotient(exp, lt_exp)
-        q = coeff * lt_sign
-        for fe, fc in f_terms.items():
-            tgt = _product(q_exp, fe)
-            old = work.get(tgt, 0)
-            new = old - q * fc
-            if new:
-                if not old and _divides(lt_exp, tgt):
-                    heapq.heappush(heap, (neg(tgt), tgt))
-                work[tgt] = new
-            else:
-                work.pop(tgt, None)
-    return work
+    def key(exp) -> int:  # inputs fit: the bound covers their degrees
+        return one + sum(e * w for e, w in zip(exp, weights))
 
+    integral = all(c.denominator == 1 for p in division_basis for c in p.terms.values())
+    integral = integral and all(leading_term(p, order)[1] in (1, -1) for p in division_basis)
+    coeff = int if integral else Fraction
+    divisors = []  # (leading key - one, [(key - one, -coefficient / leading coefficient)])
+    for p in division_basis:
+        lead, lc = leading_term(p, order)
+        tail = [(key(e) - one, coeff(-c / lc)) for e, c in p.terms.items() if e != lead]
+        divisors.append((key(lead) - one, tail))
 
-def _int_normalize(terms: dict, den: int) -> tuple[dict, int]:
-    from math import gcd
-
-    if not terms:
-        return {}, 1
-    g = den
-    for v in terms.values():
-        g = gcd(g, v)
-        if g == 1:
-            return terms, den
-    return {e: v // g for e, v in terms.items()}, den // g
-
-
-def _substitute_reduced_int(g, images, ring, ctx, order) -> MultiPoly:
-    from math import lcm
-
-    from .ratpoly import ring_embed
-
-    def to_int(p: MultiPoly) -> tuple[dict, int]:
-        den = 1
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-        return {e: int(c * den) for e, c in p.terms.items()}, den
+    def reduce(terms: dict, den: int):
+        heap = [-k for k in terms] if divisors else []
+        heapq.heapify(heap)
+        while heap:
+            t = -heapq.heappop(heap)
+            c = terms.get(t)
+            if c is None:
+                continue
+            for lead, tail in divisors:
+                q = t - lead  # the quotient key; a set guard bit means "does not divide"
+                if q & guard:
+                    continue
+                del terms[t]
+                for fk, fc in tail:
+                    s = q + fk
+                    old = terms.get(s)
+                    if old is None:
+                        if s & guard:
+                            raise _FieldOverflow
+                        terms[s] = c * fc
+                        heapq.heappush(heap, -s)
+                    elif new := old + c * fc:
+                        terms[s] = new
+                    else:
+                        del terms[s]
+                break
+        if integral:  # divide out the content shared with the denominator
+            common = den
+            for v in terms.values():
+                common = gcd(common, v)
+                if common == 1:
+                    return terms, den
+            return {k: v // common for k, v in terms.items()}, den // common
+        return terms, den
 
     def mul(a, b):
         (ta, da), (tb, db) = a, b
+        shifted = [(k - one, c) for k, c in tb.items()]
         out: dict = {}
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
-                key = _product(e1, e2)
-                out[key] = out.get(key, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        return _int_normalize(_int_reduce(out, ctx, order), da * db)
+        get = out.get
+        for k1, c1 in ta.items():
+            for k2, c2 in shifted:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        out = {k: c for k, c in out.items() if c}
+        if any(k & guard for k in out):
+            raise _FieldOverflow
+        return reduce(out, da * db)
 
-    base_cache: dict = {}
-    power_cache: dict = {}
+    def add(a, b):
+        (ta, da), (tb, db) = a, b
+        den = lcm(da, db)
+        out = {k: c * (den // da) for k, c in ta.items()}
+        for k, c in tb.items():
+            v = out.get(k, 0) + c * (den // db)
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return out, den
 
-    def power(name, e):
-        key = (name, e)
-        if key in power_cache:
-            return power_cache[key]
-        if name not in base_cache:
-            img = images[name]
-            if img.ring != ring:
-                img = ring_embed(img, ring)
-            terms, den = to_int(img)
-            base_cache[name] = _int_normalize(_int_reduce(dict(terms), ctx, order), den)
-        result = base_cache[name] if e == 1 else mul(power(name, e - 1), base_cache[name])
-        power_cache[key] = result
-        return result
+    def power(name: str, e: int):
+        if (name, 1) not in cache:
+            p = base_images[name]
+            den = lcm(*(c.denominator for c in p.terms.values())) if integral else 1
+            cache[(name, 1)] = reduce({key(x): coeff(c * den) for x, c in p.terms.items()}, den)
+        if (name, e) not in cache:
+            result, square, rest = None, cache[(name, 1)], e
+            while rest:
+                if rest & 1:
+                    result = square if result is None else mul(result, square)
+                rest >>= 1
+                square = mul(square, square) if rest else square
+            cache[(name, e)] = result
+        return cache[(name, e)]
 
-    acc_terms: dict = {}
-    acc_den = 1
-    for exp, coeff in g.terms.items():
-        term = ({(0,) * len(ring): coeff.numerator}, coeff.denominator)
-        for name, e in zip(g.ring, exp):
-            if e:
-                term = mul(term, power(name, e))
-        t_terms, t_den = term
-        common = lcm(acc_den, t_den)
-        sa, st = common // acc_den, common // t_den
-        merged = {e: c * sa for e, c in acc_terms.items()}
-        for e, c in t_terms.items():
-            merged[e] = merged.get(e, 0) + c * st
-        acc_terms = {e: c for e, c in merged.items() if c}
-        acc_den = common
-    acc_terms, acc_den = _int_normalize(_int_reduce(acc_terms, ctx, order), acc_den)
-    return MultiPoly(ring, {e: Fraction(c, acc_den) for e, c in acc_terms.items()})
+    def horner(terms: list, level: int):
+        if level < 0:
+            c = terms[0][1]
+            return ({one: c.numerator}, c.denominator) if integral else ({one: c}, 1)
+        groups: dict[int, list] = {}
+        for exp, c in terms:
+            groups.setdefault(exp[level], []).append((exp, c))
+        degrees = sorted(groups, reverse=True)
+        acc = horner(groups[degrees[0]], level - 1)
+        for hi, lo in zip(degrees, degrees[1:]):
+            acc = add(mul(acc, power(g.ring[level], hi - lo)), horner(groups[lo], level - 1))
+        return mul(acc, power(g.ring[level], degrees[-1])) if degrees[-1] else acc
+
+    cache: dict = {}
+    terms, den = reduce(*horner(list(g.terms.items()), len(g.ring) - 1)) if g.terms else ({}, 1)
+    base = top if order == "grevlex" else 0  # grevlex fields hold top - exponent
+    exps = {k: tuple(abs(((k >> s) & mask) - base) for s in shifts) for k in terms}
+    return MultiPoly(ring, {exps[k]: Fraction(c, den) for k, c in terms.items()})
 
 
 def jacobian_smooth(f: MultiPoly) -> bool:

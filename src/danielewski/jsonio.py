@@ -14,7 +14,7 @@ import json
 
 from .cech import CechClass, equivariant_class, pic_group, surface_class
 from .cylinder import CounterexamplePair, CylinderConstruction, Splitting
-from .errors import UnsupportedError
+from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
     DanielewskiSurface,
     MarkedPoint,
@@ -309,18 +309,74 @@ def counterexample_proof(pair: CounterexamplePair) -> dict:
 # -- replay verification ------------------------------------------------------
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer"}
+_SPLITTING_TAGS = ("aux_over_source", "source_over_aux", "aux_over_target", "target_over_aux")
+
+
+def _field(obj: dict, key: str, kind: type, where: str, items: type | None = None):
+    """``obj[key]`` if it has JSON type ``kind`` (an array of ``items``), else raise."""
+    if key not in obj:
+        raise ProofFormatError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (
+        items is not None and not all(isinstance(v, items) for v in value)
+    ):
+        of = f" of {_JSON_TYPES[items]}s" if items else ""
+        raise ProofFormatError(f"{where}.{key} must be a JSON {_JSON_TYPES[kind]}{of}")
+    return value
+
+
+def _check_proof_shape(doc) -> dict:
+    """The certificate of a proof document, after checking every key replay reads."""
+    if not isinstance(doc, dict):
+        raise ProofFormatError("a proof document must be a JSON object")
+    cert = _field(doc, "certificate", dict, "proof")
+    for side in ("source", "target"):
+        pres = _field(cert, side, dict, "certificate")
+        _field(pres, "ring", list, f"certificate.{side}", str)
+        _field(pres, "generators", list, f"certificate.{side}", str)
+    for side in ("forward", "backward"):
+        images = _field(_field(cert, side, dict, "certificate"), "images", dict,
+                        f"certificate.{side}")
+        for name in images:
+            _field(images, name, str, f"certificate.{side}.images")
+    _field(cert, "flags", dict, "certificate")
+    for i, claim in enumerate(_field(cert, "claims", list, "certificate", dict)):
+        where = f"certificate.claims[{i}]"
+        for key in ("name", "ideal", "kind", "subject", "residual"):
+            _field(claim, key, str, where)
+        _field(claim, "ok", bool, where)
+        if claim["kind"] == "generator_pullback":
+            _field(claim, "polynomial", str, where)
+            _field(claim, "cofactors", list, where, str)
+    if "construction" in doc:
+        construction = _field(doc, "construction", dict, "proof")
+        splittings = _field(construction, "splittings", dict, "construction")
+        for tag in _SPLITTING_TAGS:
+            where = f"construction.splittings.{tag}"
+            data = _field(splittings, tag, dict, "construction.splittings")
+            _field(data, "chart_ring", list, where, str)
+            _field(data, "per_chart", list, where, str)
+            _field(data, "degree_bound", int, where)
+    return cert
+
+
 def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     """Replay every exact identity recorded in a proof object.
 
     Needs only polynomial arithmetic and division by single stated
     generators; returns (ok, failure descriptions).  Any mismatch between
     recorded and recomputed data is reported, including tampered
-    coefficients anywhere in the maps, claims, or splittings.
+    coefficients anywhere in the maps, claims, or splittings.  The claim set
+    is derived here, not trusted: one ``generator_pullback`` per generator
+    and one ``round_trip`` per ring variable on each side, none missing,
+    repeated or extra.  A document of the wrong shape raises
+    ``ProofFormatError`` before any arithmetic.
     """
+    cert = _check_proof_shape(doc)
     failures: list[str] = []
     if doc.get("schema") != PROOF_SCHEMA:
         return False, [f"unsupported schema {doc.get('schema')!r}"]
-    cert = doc["certificate"]
     source = presentation_from_json(cert["source"])
     target = presentation_from_json(cert["target"])
     if len(source.generators) != 1 or len(target.generators) != 1:
@@ -342,10 +398,22 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
 
     presentations = {"source": source, "target": target}
     maps = {"source": forward, "target": backward}
+    # one pullback per generator (there is one on each side), one round trip per variable
+    required = {("generator_pullback", side, "0") for side in presentations}
+    required |= {("round_trip", side, v) for side, pres in presentations.items() for v in pres.ring}
+    seen: set = set()
 
     for claim_doc in cert["claims"]:
         name = claim_doc["name"]
         which = claim_doc["ideal"]
+        identity = (claim_doc["kind"], which, claim_doc["subject"])
+        if identity not in required:
+            failures.append(f"{name}: unexpected claim {identity}")
+            continue
+        if identity in seen:
+            failures.append(f"{name}: duplicate claim {identity}")
+            continue
+        seen.add(identity)
         pres = presentations[which]
         ring = pres.ring
         residual = poly_from_str(claim_doc["residual"], ring)
@@ -354,8 +422,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             continue
         if claim_doc["kind"] == "generator_pullback":
             other = presentations["target" if which == "source" else "source"]
-            k = int(claim_doc["subject"])
-            member = substitute(other.generators[k], maps[which])
+            member = substitute(other.generators[0], maps[which])
             stated = poly_from_str(claim_doc["polynomial"], ring)
             if member != stated:
                 failures.append(f"{name}: recorded pullback does not match the maps")
@@ -365,7 +432,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
                 rebuilt = rebuilt + poly_from_str(cof_text, ring) * gen
             if rebuilt != member:
                 failures.append(f"{name}: cofactor identity fails")
-        elif claim_doc["kind"] == "round_trip":
+        else:
             var = claim_doc["subject"]
             if which == "source":
                 outer, inner = backward[var], forward
@@ -377,8 +444,8 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             )
             if not check.is_zero():
                 failures.append(f"{name}: composite is not the identity modulo the ideal")
-        else:
-            failures.append(f"{name}: unknown claim kind {claim_doc['kind']!r}")
+    failures.extend(f"missing {kind} claim on the {side} side for {subject}"
+                    for kind, side, subject in sorted(required - seen))
 
     flags = cert["flags"]
     if not all(flags.get(key) is True for key in (

@@ -1,5 +1,6 @@
 """CLI subcommands: reports, proof emission, replay verification, exit codes."""
 
+import copy
 import json
 
 from danielewski.cli import main
@@ -86,15 +87,103 @@ def test_verify_detects_tampering(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
     run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
         "--out", str(proof_path))
+    original = json.loads(proof_path.read_text())
+
+    def refused(edit):
+        doc = copy.deepcopy(original)
+        edit(doc["certificate"])
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        code, verdict, _ = run_json(capsys, "verify", str(tampered))
+        assert code == 1
+        assert verdict["verified"] is False
+        assert verdict["failures"]
+        return verdict["failures"]
+
+    def coefficient(cert):
+        images = cert["forward"]["images"]
+        images["w"] = images["w"].replace("1/2", "1/3")
+
+    refused(coefficient)
+
+    # An empty claim list proves nothing: every required claim is missing.
+    failures = refused(lambda cert: cert.update(claims=[]))
+    rings = original["certificate"]["source"]["ring"] + original["certificate"]["target"]["ring"]
+    assert len(failures) == 2 + len(rings)
+    assert all(f.startswith("missing ") for f in failures)
+
+    # A wrong backward map cannot hide by dropping the round trips that expose it.
+    def wrong_map_without_round_trips(cert):
+        cert["backward"]["images"]["w"] = "w + 1"
+        cert["claims"] = [c for c in cert["claims"] if c["kind"] != "round_trip"]
+
+    failures = refused(wrong_map_without_round_trips)
+    assert any(f.startswith("missing round_trip claim") for f in failures)
+
+    failures = refused(lambda cert: cert["claims"].append(dict(cert["claims"][-1])))
+    assert any("duplicate claim" in f for f in failures)
+
+    def extra(cert):
+        cert["claims"].append({**cert["claims"][-1], "name": "extra", "subject": "q"})
+
+    failures = refused(extra)
+    assert failures == ["extra: unexpected claim ('round_trip', 'target', 'q')"]
+
+
+def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
+    original = json.loads(proof_path.read_text())
+
+    def claims_hold_a_number(doc):
+        doc["certificate"]["claims"] = [1]
+
+    def claim_without_residual(doc):
+        del doc["certificate"]["claims"][0]["residual"]
+
+    def no_flags(doc):
+        del doc["certificate"]["flags"]
+
+    def certificate_is_a_list(doc):
+        doc["certificate"] = []
+
+    def images_are_a_string(doc):
+        doc["certificate"]["forward"]["images"] = "w"
+
+    def image_is_a_number(doc):
+        doc["certificate"]["backward"]["images"]["x"] = 1
+
+    def splitting_is_a_list(doc):
+        doc["construction"]["splittings"]["aux_over_source"] = []
+
+    for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
+                 images_are_a_string, image_is_a_number, splitting_is_a_list):
+        doc = copy.deepcopy(original)
+        edit(doc)
+        bad = tmp_path / f"{edit.__name__}.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, ""), edit.__name__
+        assert err.startswith("input error:"), edit.__name__
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2 and err.startswith("input error:")
+
+
+def test_verify_large_exponent_is_a_failure_not_a_traceback(tmp_path, capsys):
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
     doc = json.loads(proof_path.read_text())
-    images = doc["certificate"]["forward"]["images"]
-    images["w"] = images["w"].replace("1/2", "1/3")
-    tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
-    code, verdict, _ = run_json(capsys, "verify", str(tampered))
+    doc["certificate"]["backward"]["images"]["w"] += " + x^1500"
+    proof_path.write_text(json.dumps(doc))
+    code, verdict, _ = run_json(capsys, "verify", str(proof_path))
     assert code == 1
-    assert verdict["verified"] is False
-    assert verdict["failures"]
+    assert "round_trip_source[w]: composite is not the identity modulo the ideal" in (
+        verdict["failures"]
+    )
 
 
 def test_counterexample_pipeline(tmp_path, capsys):
