@@ -52,7 +52,6 @@ from .fibration import (
     LineBundle,
     MarkedPoint,
     MultifoldCurve,
-    SurfacePresentation,
     Variant,
     build_surface,
     classify_cancellation,

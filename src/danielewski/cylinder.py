@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cech import CechClass, divide_by_power, surface_class
 from .errors import NoSplittingFound, NotComparable, UnsupportedError
@@ -31,6 +31,7 @@ from .ideals import (
     IsoCertificate,
     PolyMap,
     normal_form,
+    reduce_full,
     unchecked_certificate,
     verify_iso_certificate,
 )
@@ -350,59 +351,15 @@ def splitting_solve(
 # -- re-expression in embedded coordinates ---------------------------------
 
 
-def _divide_by_y_poly(terms: Mapping, p_dense: list[Fraction], y_idx: int, ring_size: int):
-    """Divide a polynomial (as a term dict) by a monic polynomial in y.
-
-    ``p_dense`` lists the coefficients of P ascending in y; returns (quotient
-    terms, remainder terms) with y-degree of the remainder below deg P.
-    """
-    r_deg = len(p_dense) - 1
-    work = dict(terms)
-    quotient: dict = {}
-    while True:
-        candidates = [exp for exp in work if exp[y_idx] >= r_deg]
-        if not candidates:
-            break
-        exp = max(candidates, key=grevlex_key)
-        coeff = work[exp]
-        q_exp = list(exp)
-        q_exp[y_idx] -= r_deg
-        q_exp = tuple(q_exp)
-        quotient[q_exp] = quotient.get(q_exp, Fraction(0)) + coeff
-        for k, pc in enumerate(p_dense):
-            if not pc:
-                continue
-            t_exp = list(q_exp)
-            t_exp[y_idx] += k
-            t_exp = tuple(t_exp)
-            val = work.get(t_exp, Fraction(0)) - coeff * pc
-            if val:
-                work[t_exp] = val
-            else:
-                work.pop(t_exp, None)
-    return quotient, work
-
-
-def _surface_p_dense(surface: DanielewskiSurface) -> list[Fraction]:
-    """Coefficients of P(y) = prod (y - y_i), ascending."""
-    coeffs = [Fraction(1)]
-    for root in surface.root_values():
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= root * c
-        coeffs = nxt
-    return coeffs
-
-
-def _divide_once_by_x(terms, surface, ring):
+def _divide_once_by_x(terms, p_of_y: MultiPoly, n: int):
     """Given H with [H] in x*A for A the cylinder algebra of the surface,
     return H' with H = x*H' modulo the defining equation.
 
     Writes H = x*Q + R(y, z, w); regularity forces P(y) | R, and P = x^n z
-    modulo the equation turns the quotient into x^(n-1) z * D.
+    modulo the equation turns the quotient into x^(n-1) z * D.  P is monic
+    in y, so the quotient D and the remainder of the division are unique.
     """
-    x_idx, y_idx, z_idx = 0, 1, 2
+    x_idx, z_idx = 0, 2
     q_terms: dict = {}
     r_terms: dict = {}
     for exp, coeff in terms.items():
@@ -412,13 +369,12 @@ def _divide_once_by_x(terms, surface, ring):
             lowered = list(exp)
             lowered[x_idx] -= 1
             q_terms[tuple(lowered)] = coeff
-    p_dense = _surface_p_dense(surface)
-    d_terms, rem = _divide_by_y_poly(r_terms, p_dense, y_idx, len(ring))
-    if rem:
+    (d_terms,), rem = reduce_full(MultiPoly(p_of_y.ring, r_terms), [p_of_y])
+    if not rem.is_zero():
         raise RuntimeError("chart expression is not regular on the surface")
     for exp, coeff in d_terms.items():
         lifted = list(exp)
-        lifted[x_idx] += surface.n - 1
+        lifted[x_idx] += n - 1
         lifted[z_idx] += 1
         key = tuple(lifted)
         q_terms[key] = q_terms.get(key, Fraction(0)) + coeff
@@ -475,11 +431,12 @@ def reexpress_on_cylinder(
                 terms[key] = val
             else:
                 terms.pop(key, None)
+    f = cylinder_presentation(surface).generators[0]
+    x, z = MultiPoly.var(CYLINDER_RING, "x"), MultiPoly.var(CYLINDER_RING, "z")
+    p_of_y = x ** n * z - f
     for _ in range(clear_power):
-        terms = _divide_once_by_x(terms, surface, CYLINDER_RING)
-    candidate = MultiPoly(CYLINDER_RING, terms)
-    presentation = cylinder_presentation(surface)
-    candidate = normal_form(candidate, [presentation.generators[0]])
+        terms = _divide_once_by_x(terms, p_of_y, n)
+    candidate = normal_form(MultiPoly(CYLINDER_RING, terms), [f])
     for chart, expr in enumerate(chart_exprs):
         assignment = _chart_assignment(surface, chart, chart_ring)
         if substitute(candidate, assignment) != expr:

@@ -38,30 +38,23 @@ class Variant(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SurfacePresentation:
-    """An embedded affine surface fibered by the named coordinate."""
-
-    ideal: IdealPresentation
-    fibration_variable: str = "x"
-
-
-@dataclass(frozen=True)
 class DanielewskiSurface:
     """A member of one of the two families, with its derived presentation.
 
-    ``roots`` lists the distinct roots of P with multiplicities, in input
-    order; that order fixes branch indices everywhere downstream.
+    ``presentation`` is the ideal of the surface in ``SURFACE_RING``, fibered
+    by ``x``.  ``roots`` lists the distinct roots of P with multiplicities, in
+    input order; that order fixes branch indices everywhere downstream.
     """
 
     n: int
     roots: tuple[tuple[Fraction, int], ...]
     variant: Variant
-    presentation: SurfacePresentation
+    presentation: IdealPresentation
     smooth: bool
 
     @property
     def defining_polynomial(self) -> MultiPoly:
-        return self.presentation.ideal.generators[0]
+        return self.presentation.generators[0]
 
     @property
     def simple_roots(self) -> bool:
@@ -185,7 +178,7 @@ def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> Danielews
     smooth = jacobian_smooth(f)
     if not smooth:
         raise SingularInputError(f"surface {f} fails the Jacobian criterion")
-    presentation = SurfacePresentation(IdealPresentation(SURFACE_RING, [f]))
+    presentation = IdealPresentation(SURFACE_RING, [f])
     return DanielewskiSurface(n, tuple(clean), variant, presentation, smooth)
 
 

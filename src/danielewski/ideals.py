@@ -5,6 +5,14 @@ ideal membership with explicit cofactor witnesses, the Jacobian smoothness
 criterion for hypersurfaces in A^3, and verification of polynomial maps and
 isomorphism certificates between affine varieties given by generators.
 
+Every multivariate division runs through one routine, ``_PackedDivision``:
+the heap division of Monagan and Pearce on packed-int monomials, largest term
+first, first divisor whose leading term divides it, with integer
+coefficients over one denominator and a pseudo-step where a leading
+coefficient does not divide.  ``reduce_full`` and ``normal_form``, the
+S-polynomial and tail reductions of Buchberger's algorithm, and the Horner
+kernel of ``substitute_reduced`` all use it.
+
 Everything is computed over exact rationals; a membership verdict is an
 unconditional identity ``f = sum(cofactor_i * generator_i)`` that third
 parties can replay by plain polynomial arithmetic.
@@ -13,9 +21,11 @@ parties can replay by plain polynomial arithmetic.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import RingMismatchError
@@ -37,15 +47,6 @@ def _product(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _neg_key(order: str):
-    """Heap key that pops the largest monomial first."""
-    if order == "grevlex":
-        return lambda exp: (-sum(exp), tuple(reversed(exp)))
-    if order == "lex":
-        return lambda exp: tuple(-e for e in exp)
-    raise ValueError(f"unknown term order {order!r}")
-
-
 def leading_term(f: MultiPoly, order: str = "grevlex") -> tuple[Exponent, Fraction]:
     if f.is_zero():
         raise ValueError("zero polynomial has no leading term")
@@ -55,6 +56,147 @@ def leading_term(f: MultiPoly, order: str = "grevlex") -> tuple[Exponent, Fracti
 
 
 # -- division ----------------------------------------------------------
+
+
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its field; the division reruns with wider fields."""
+
+
+def _at_fitting_width(bound: int, run):
+    """``run(width)`` from the narrowest field width that holds exponents up to
+    ``bound``, doubling the width each time a packed exponent overflows."""
+    width = bound.bit_length() + 1
+    while True:
+        try:
+            return run(width)
+        except _FieldOverflow:
+            width *= 2
+
+
+class _PackedDivision:
+    """Division by a fixed divisor list on packed monomials (Monagan and Pearce).
+
+    A monomial is an int whose integer order is the term order: grevlex packs
+    the total degree above the complemented exponents ``top - e_i``, last
+    variable first; lex packs the exponents.  A product is one add, and
+    ``t - lead`` is the quotient key unless it sets a guard bit, which means
+    "does not divide".  A polynomial is ``(terms, den)``: integer
+    coefficients by key over one denominator.  Each divisor is stored as its
+    primitive integer multiple with positive leading coefficient.
+    """
+
+    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly]):
+        top, mask = (1 << (width - 1)) - 1, (1 << width) - 1
+        self.guard = sum(1 << (width * i + width - 1) for i in range(n))
+        if order == "grevlex":
+            shifts = [width * i for i in range(n)]
+            self.one = sum(top << s for s in shifts)  # the key of the monomial 1
+            self.weights = [(1 << (width * n)) - (1 << s) for s in shifts]
+        else:
+            shifts = [width * (n - 1 - i) for i in range(n)]
+            self.one, self.weights = 0, [1 << s for s in shifts]
+        base = top if order == "grevlex" else 0
+        self.exponent = lambda k: tuple(abs(((k >> s) & mask) - base) for s in shifts)
+        # (leading key - one, leading coefficient, [(key - one, -coefficient)], index)
+        self.divisors: list[tuple[int, int, list, int]] = []
+        self.scales: list[Fraction] = []  # divisor i times scales[i] is the stored multiple
+        for i, p in enumerate(divisors):
+            terms, den = self.encode(p)
+            lead = max(terms)
+            content = 0
+            for c in terms.values():
+                content = gcd(content, c)
+            if terms[lead] < 0:
+                content = -content
+            stored = {k - self.one: c // content for k, c in terms.items()}
+            lead -= self.one
+            tail = [(k, -c) for k, c in stored.items() if k != lead]
+            self.divisors.append((lead, stored[lead], tail, i))
+            self.scales.append(Fraction(den, content))
+
+    def key(self, exp: Exponent) -> int:  # callers size the width to fit exp
+        return self.one + sum(map(operator.mul, exp, self.weights))
+
+    def encode(self, p: MultiPoly) -> tuple[dict, int]:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        return {self.key(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+    def decode(self, ring, terms: dict, den: int) -> MultiPoly:
+        return MultiPoly(ring, {self.exponent(k): Fraction(c, den) for k, c in terms.items()})
+
+    def reduce(self, terms: dict, den: int, quotients: Optional[list] = None):
+        """Remainder of ``terms / den``, in place; returns ``(terms, den)``.
+
+        Takes the largest term first and divides it by the first divisor
+        whose leading term divides it.  When that leading coefficient does
+        not divide the integer coefficient, all terms and ``den`` are first
+        multiplied by the smallest factor that makes it divide (a
+        pseudo-step), so every coefficient stays an integer.  With
+        ``quotients``, ``quotients[i][q] = (c, d)`` records ``c / d`` times
+        the stored multiple of divisor ``i`` at quotient key ``q``.
+        """
+        divisors, guard = self.divisors, self.guard
+        heap = [-k for k in terms] if divisors else []
+        heapq.heapify(heap)
+        while heap:
+            t = -heapq.heappop(heap)
+            c = terms.get(t)
+            if c is None:
+                continue
+            for lead, lc, tail, i in divisors:
+                q = t - lead
+                if q & guard:
+                    continue
+                del terms[t]
+                if lc != 1:
+                    if c % lc:
+                        m = lc // gcd(c, lc)
+                        for k in terms:
+                            terms[k] *= m
+                        c, den = c * m, den * m
+                    c //= lc
+                if quotients is not None:
+                    quotients[i][q] = (c, den)
+                for fk, fc in tail:
+                    s = q + fk
+                    old = terms.get(s)
+                    if old is None:
+                        if s & guard:
+                            raise _FieldOverflow
+                        terms[s] = c * fc
+                        heapq.heappush(heap, -s)
+                    elif new := old + c * fc:
+                        terms[s] = new
+                    else:
+                        del terms[s]
+                break
+        common = den  # divide out the content shared with the denominator
+        for v in terms.values():
+            common = gcd(common, v)
+            if common == 1:
+                return terms, den
+        return {k: v // common for k, v in terms.items()}, den // common
+
+
+def _divide(f: MultiPoly, basis: Sequence[MultiPoly], order: str, record: bool):
+    """``(quotients or None, remainder)`` of ``f`` by ``basis``, packed."""
+    if order not in ORDER_KEYS:
+        raise ValueError(f"unknown term order {order!r}")
+    bound = max([f.total_degree(), 1] + [p.total_degree() for p in basis])
+
+    def run(width: int):
+        packed = _PackedDivision(len(f.ring), order, width, basis)
+        quotients = [{} for _ in basis] if record else None
+        terms, den = packed.reduce(*packed.encode(f), quotients)
+        remainder = packed.decode(f.ring, terms, den)
+        if not record:
+            return None, remainder
+        return [
+            {packed.exponent(q): Fraction(c, d) * scale for q, (c, d) in qd.items()}
+            for qd, scale in zip(quotients, packed.scales)
+        ], remainder
+
+    return _at_fitting_width(bound, run)
 
 
 def reduce_full(
@@ -70,126 +212,12 @@ def reduce_full(
     always uses the first applicable basis element, so the output is
     deterministic for a fixed basis order.
     """
-    neg = _neg_key(order)
-    lts = [leading_term(g, order) for g in basis]
-    work: dict[Exponent, Fraction] = dict(f.terms)
-    heap: list[tuple] = [(neg(exp), exp) for exp in work]
-    heapq.heapify(heap)
-    remainder: dict[Exponent, Fraction] = {}
-    quotients: list[dict[Exponent, Fraction]] = [dict() for _ in basis]
-    while heap:
-        _, exp = heapq.heappop(heap)
-        coeff = work.get(exp)
-        if not coeff:
-            continue
-        for i, (lexp, lcoeff) in enumerate(lts):
-            if _divides(lexp, exp):
-                q_exp = _quotient(exp, lexp)
-                q_coeff = coeff / lcoeff
-                qd = quotients[i]
-                qd[q_exp] = qd.get(q_exp, Fraction(0)) + q_coeff
-                for gexp, gcoeff in basis[i].terms.items():
-                    tgt = _product(q_exp, gexp)
-                    old = work.get(tgt, Fraction(0))
-                    new = old - q_coeff * gcoeff
-                    if new:
-                        if not old:
-                            heapq.heappush(heap, (neg(tgt), tgt))
-                        work[tgt] = new
-                    else:
-                        work.pop(tgt, None)
-                break
-        else:
-            remainder[exp] = coeff
-            del work[exp]
-    return quotients, MultiPoly(f.ring, remainder)
-
-
-class _FastBasis:
-    """Integer-scaled division data for repeated fraction-free reduction.
-
-    Pseudo-reduction multiplies the work polynomial by the divisor's integer
-    leading coefficient instead of dividing, tracking one global rational
-    scale; the final remainder is rescaled exactly and coincides with the
-    remainder of classical division (same divisor-selection rule).
-    """
-
-    def __init__(self, basis: Sequence[MultiPoly], order: str):
-        self.order = order
-        self.neg = _neg_key(order)
-        self.elements: list[tuple[Exponent, int, dict]] = []
-        for g in basis:
-            self.append(g)
-
-    def append(self, g: MultiPoly) -> None:
-        from math import lcm
-
-        den = 1
-        for c in g.terms.values():
-            den = lcm(den, c.denominator)
-        gi = {e: int(c * den) for e, c in g.terms.items()}
-        lt_exp, _ = leading_term(g, self.order)
-        self.elements.append((lt_exp, gi[lt_exp], gi))
-
-    def remainder(self, f: MultiPoly) -> MultiPoly:
-        from math import gcd, lcm
-
-        if f.is_zero() or not self.elements:
-            return f
-        den = 1
-        for c in f.terms.values():
-            den = lcm(den, c.denominator)
-        work = {e: int(c * den) for e, c in f.terms.items()}
-        scale = Fraction(1, den)
-        neg = self.neg
-        heap = [(neg(exp), exp) for exp in work]
-        heapq.heapify(heap)
-        done: set = set()
-        steps = 0
-        while heap:
-            _, exp = heapq.heappop(heap)
-            coeff = work.get(exp)
-            if not coeff or exp in done:
-                continue
-            for lt_exp, lt_coeff, gi in self.elements:
-                if _divides(lt_exp, exp):
-                    q_exp = _quotient(exp, lt_exp)
-                    if lt_coeff == 1 or lt_coeff == -1:
-                        q = coeff * lt_coeff
-                    else:
-                        # pseudo-step: scale everything by the leading coefficient
-                        for key in work:
-                            work[key] *= lt_coeff
-                        scale = scale / lt_coeff
-                        q = coeff
-                    for ge, gc in gi.items():
-                        tgt = _product(q_exp, ge)
-                        old = work.get(tgt, 0)
-                        new = old - q * gc
-                        if new:
-                            if not old and tgt not in done:
-                                heapq.heappush(heap, (neg(tgt), tgt))
-                            work[tgt] = new
-                        else:
-                            work.pop(tgt, None)
-                    break
-            else:
-                done.add(exp)
-            steps += 1
-            if steps % 64 == 0 and work:
-                shrink = 0
-                for v in work.values():
-                    shrink = gcd(shrink, v)
-                    if shrink == 1:
-                        break
-                if shrink > 1:
-                    work = {e: v // shrink for e, v in work.items()}
-                    scale = scale * shrink
-        return MultiPoly(f.ring, {e: c * scale for e, c in work.items() if c})
+    return _divide(f, basis, order, True)
 
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: str = "grevlex") -> MultiPoly:
-    return _FastBasis(basis, order).remainder(f)
+    """The remainder of ``reduce_full``, without recording quotients."""
+    return _divide(f, basis, order, False)[1]
 
 
 # -- presentations and bases -------------------------------------------
@@ -254,8 +282,6 @@ def _content_scale(poly: MultiPoly) -> Fraction:
     Rescaling basis elements does not change the ideal and keeps the rational
     arithmetic in Buchberger from blowing up Euclid-style.
     """
-    from math import gcd, lcm
-
     nums = [abs(c.numerator) for c in poly.terms.values()]
     dens = [c.denominator for c in poly.terms.values()]
     num_gcd = 0
@@ -307,14 +333,13 @@ def _buchberger(gens: Sequence[MultiPoly], order: str, ring: tuple[str, ...], tr
 
     Returns ``(basis, traces)``; each trace is the cofactor vector of the
     basis element over the original generators (``None`` entries when tracing
-    is disabled).  S-polynomial reduction runs fraction-free unless traces
-    are requested.
+    is disabled).  S-polynomials are reduced by the packed division, which
+    records quotients only when traces are requested.
     """
     key = ORDER_KEYS[order]
     basis: list[MultiPoly] = []
     traces: list = []
     lts: list[Exponent] = []
-    fast = _FastBasis([], order)
     n_gens = len(gens)
 
     def unit_vector(k: int) -> list[MultiPoly]:
@@ -332,7 +357,6 @@ def _buchberger(gens: Sequence[MultiPoly], order: str, ring: tuple[str, ...], tr
         basis.append(poly)
         traces.append([v * scale for v in vec] if trace else None)
         lts.append(leading_term(poly, order)[0])
-        fast.append(poly)
         pairs = _gm_update(pairs, lts, len(basis) - 1)
 
     for k, g in enumerate(gens):
@@ -344,10 +368,7 @@ def _buchberger(gens: Sequence[MultiPoly], order: str, ring: tuple[str, ...], tr
         pairs.discard((i, j))
         mi, mj, _ = _s_poly_parts(basis[i], basis[j], order)
         s_poly = mi * basis[i] - mj * basis[j]
-        if trace:
-            quots, remainder = reduce_full(s_poly, basis, order)
-        else:
-            quots, remainder = None, fast.remainder(s_poly)
+        quots, remainder = _divide(s_poly, basis, order, trace)
         if remainder.is_zero():
             continue
         vec = None
@@ -379,8 +400,8 @@ def _reduced_basis(gens, order, ring, trace: bool):
     # pairwise non-divisible, so one full-reduction pass yields the reduced basis.
     for idx in range(len(polys)):
         others = [polys[k] for k in range(len(polys)) if k != idx]
+        quots, remainder = _divide(polys[idx], others, order, trace)
         if trace:
-            quots, remainder = reduce_full(polys[idx], others, order)
             other_vecs = [vecs[k] for k in range(len(polys)) if k != idx]
             vec = vecs[idx]
             for t, qd in enumerate(quots):
@@ -388,8 +409,6 @@ def _reduced_basis(gens, order, ring, trace: bool):
                     q = MultiPoly(remainder.ring, qd)
                     vec = [a - q * b for a, b in zip(vec, other_vecs[t])]
             vecs[idx] = vec
-        else:
-            remainder = _FastBasis(others, order).remainder(polys[idx])
         polys[idx] = remainder
     for idx in range(len(polys)):
         _, lcoeff = leading_term(polys[idx], order)
@@ -456,10 +475,6 @@ def ideal_member_witness(
     return remainder.is_zero(), tuple(cofactors), remainder
 
 
-class _FieldOverflow(Exception):
-    """A packed exponent outgrew its field; the kernel reruns with wider fields."""
-
-
 def substitute_reduced(
     g: MultiPoly,
     images: Mapping[str, MultiPoly],
@@ -470,16 +485,12 @@ def substitute_reduced(
 
     Nested Horner in ``g`` (last variable of ``g.ring`` outermost) makes every
     large product "accumulator times a reduced image power", with gaps filled
-    by iterative square-and-multiply and each product reduced at once.
-    Monomials are ints whose order is the term order (packed exponents after
-    Monagan and Pearce): grevlex packs the total degree above the complemented
-    exponents, last variable first; lex packs the exponents.  A product is one
-    add, a divisibility test one masked subtract.  Widths come from a degree
-    bound of the inputs; a key that sets a field's guard bit reruns the kernel
-    with doubled widths, so no carry spills.  Coefficients are integers over
-    one denominator when every divisor is integral with unit leading
-    coefficient, else ``Fraction``.  Modulo a Groebner basis (a single
-    generator is one) the result is the normal form of the plain substitution.
+    by iterative square-and-multiply.  Products are formed on the packed
+    monomials of ``_PackedDivision`` (integers over one denominator) and each
+    is reduced at once by its heap division, pseudo-steps included.  Widths
+    come from a degree bound of the inputs and double whenever a packed
+    exponent overflows.  Modulo a Groebner basis (a single generator is one)
+    the result is the normal form of the plain substitution.
     """
     if order not in ("grevlex", "lex"):
         raise ValueError(f"unknown term order {order!r}")
@@ -490,73 +501,14 @@ def substitute_reduced(
         [sum(e * used[v].total_degree() for v, e in zip(g.ring, exp) if e) for exp in g.terms]
         + [p.total_degree() for p in division_basis] + [1]
     )
-    width = bound.bit_length() + 1
-    while True:
-        try:
-            return _substitute_packed(g, used, division_basis, ring, order, width)
-        except _FieldOverflow:
-            width *= 2
+    return _at_fitting_width(
+        bound, lambda width: _substitute_packed(g, used, division_basis, ring, order, width)
+    )
 
 
 def _substitute_packed(g, base_images, division_basis, ring, order, width) -> MultiPoly:
-    from math import gcd, lcm
-
-    n, top, mask = len(ring), (1 << (width - 1)) - 1, (1 << width) - 1
-    guard = sum(1 << (width * i + width - 1) for i in range(n))
-    if order == "grevlex":
-        shifts = [width * i for i in range(n)]
-        one = sum(top << s for s in shifts)  # the key of the monomial 1
-        weights = [(1 << (width * n)) - (1 << s) for s in shifts]
-    else:
-        shifts = [width * (n - 1 - i) for i in range(n)]
-        one, weights = 0, [1 << s for s in shifts]
-
-    def key(exp) -> int:  # inputs fit: the bound covers their degrees
-        return one + sum(e * w for e, w in zip(exp, weights))
-
-    integral = all(c.denominator == 1 for p in division_basis for c in p.terms.values())
-    integral = integral and all(leading_term(p, order)[1] in (1, -1) for p in division_basis)
-    coeff = int if integral else Fraction
-    divisors = []  # (leading key - one, [(key - one, -coefficient / leading coefficient)])
-    for p in division_basis:
-        lead, lc = leading_term(p, order)
-        tail = [(key(e) - one, coeff(-c / lc)) for e, c in p.terms.items() if e != lead]
-        divisors.append((key(lead) - one, tail))
-
-    def reduce(terms: dict, den: int):
-        heap = [-k for k in terms] if divisors else []
-        heapq.heapify(heap)
-        while heap:
-            t = -heapq.heappop(heap)
-            c = terms.get(t)
-            if c is None:
-                continue
-            for lead, tail in divisors:
-                q = t - lead  # the quotient key; a set guard bit means "does not divide"
-                if q & guard:
-                    continue
-                del terms[t]
-                for fk, fc in tail:
-                    s = q + fk
-                    old = terms.get(s)
-                    if old is None:
-                        if s & guard:
-                            raise _FieldOverflow
-                        terms[s] = c * fc
-                        heapq.heappush(heap, -s)
-                    elif new := old + c * fc:
-                        terms[s] = new
-                    else:
-                        del terms[s]
-                break
-        if integral:  # divide out the content shared with the denominator
-            common = den
-            for v in terms.values():
-                common = gcd(common, v)
-                if common == 1:
-                    return terms, den
-            return {k: v // common for k, v in terms.items()}, den // common
-        return terms, den
+    packed = _PackedDivision(len(ring), order, width, division_basis)
+    one, guard, reduce = packed.one, packed.guard, packed.reduce
 
     def mul(a, b):
         (ta, da), (tb, db) = a, b
@@ -586,9 +538,7 @@ def _substitute_packed(g, base_images, division_basis, ring, order, width) -> Mu
 
     def power(name: str, e: int):
         if (name, 1) not in cache:
-            p = base_images[name]
-            den = lcm(*(c.denominator for c in p.terms.values())) if integral else 1
-            cache[(name, 1)] = reduce({key(x): coeff(c * den) for x, c in p.terms.items()}, den)
+            cache[(name, 1)] = reduce(*packed.encode(base_images[name]))
         if (name, e) not in cache:
             result, square, rest = None, cache[(name, 1)], e
             while rest:
@@ -602,7 +552,7 @@ def _substitute_packed(g, base_images, division_basis, ring, order, width) -> Mu
     def horner(terms: list, level: int):
         if level < 0:
             c = terms[0][1]
-            return ({one: c.numerator}, c.denominator) if integral else ({one: c}, 1)
+            return {one: c.numerator}, c.denominator
         groups: dict[int, list] = {}
         for exp, c in terms:
             groups.setdefault(exp[level], []).append((exp, c))
@@ -614,9 +564,7 @@ def _substitute_packed(g, base_images, division_basis, ring, order, width) -> Mu
 
     cache: dict = {}
     terms, den = reduce(*horner(list(g.terms.items()), len(g.ring) - 1)) if g.terms else ({}, 1)
-    base = top if order == "grevlex" else 0  # grevlex fields hold top - exponent
-    exps = {k: tuple(abs(((k >> s) & mask) - base) for s in shifts) for k in terms}
-    return MultiPoly(ring, {exps[k]: Fraction(c, den) for k, c in terms.items()})
+    return packed.decode(ring, terms, den)
 
 
 def jacobian_smooth(f: MultiPoly) -> bool:

@@ -268,7 +268,7 @@ def test_surface_class_transition_identity_by_ideal_membership():
                 out = out * (y - MultiPoly.const(ring, val))
         return out
 
-    ideal = s.presentation.ideal
+    ideal = s.presentation
     for i in range(3):
         for j in range(i + 1, 3):
             a_i, a_j = cofactor(i), cofactor(j)

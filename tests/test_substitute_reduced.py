@@ -1,13 +1,19 @@
-"""The reduction kernel ``substitute_reduced`` against plain substitution.
+"""The packed division against textbook division.
 
-The oracle is ``normal_form(substitute(g, images), basis)``: modulo a Groebner
-basis the normal form is unique, so the kernel must agree term for term.
+The oracle is ``naive_division`` from ``conftest``, in plain ``MultiPoly``
+arithmetic.  ``reduce_full`` and ``normal_form`` must match its quotients and
+remainder term for term for any divisor list, Groebner basis or not, since
+both take the largest term first and the first divisor that applies.
+``substitute_reduced`` reduces while it substitutes, so it must match the
+oracle's remainder of the plain substitution modulo a Groebner basis, where
+the remainder is unique.
 """
 
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from conftest import naive_division
+from hypothesis import example, given, settings, strategies as st
 
 from danielewski import ideals
 from danielewski.ideals import (
@@ -15,6 +21,7 @@ from danielewski.ideals import (
     groebner_basis,
     leading_term,
     normal_form,
+    reduce_full,
     substitute_reduced,
 )
 from danielewski.ratpoly import MultiPoly, poly_from_str, substitute
@@ -35,7 +42,9 @@ def polys(max_degree, max_terms, coefficients, min_terms=0):
 
 
 small_ints = st.integers(-3, 3).filter(bool)
-outer = polys(3, 4, st.fractions(-3, 3, max_denominator=3).filter(bool))
+rational = st.fractions(-3, 3, max_denominator=3).filter(bool)
+outer = polys(3, 4, rational)
+dividends = polys(5, 8, rational)
 images = st.fixed_dictionaries({v: polys(2, 3, small_ints) for v in XYZ})
 
 
@@ -44,12 +53,26 @@ def with_leading_coefficient(f: MultiPoly, lc: int, order: str = "grevlex") -> M
     return MultiPoly(XYZ, {**f.terms, lead: Fraction(lc)})
 
 
+def with_rational_tail(f: MultiPoly, lc: int, den: int, order: str = "grevlex") -> MultiPoly:
+    lead, _ = leading_term(f, order)
+    tail = {e: c / den for e, c in f.terms.items() if e != lead}
+    return MultiPoly(XYZ, {**tail, lead: Fraction(lc)})
+
+
 generators = polys(3, 4, small_ints, min_terms=2).filter(lambda f: not f.is_constant())
 
 
 def assert_matches_oracle(g, imgs, basis, order="grevlex"):
-    expected = normal_form(substitute(g, imgs), basis, order)
+    _, expected = naive_division(substitute(g, imgs), basis, order)
     assert substitute_reduced(g, imgs, basis, order) == expected
+
+
+def assert_division_matches_oracle(f, divisors, order="grevlex"):
+    quotients, remainder = naive_division(f, divisors, order)
+    quots, rem = reduce_full(f, divisors, order)
+    assert [MultiPoly(XYZ, q) for q in quots] == quotients
+    assert rem == remainder
+    assert normal_form(f, divisors, order) == remainder
 
 
 @KERNEL
@@ -91,11 +114,33 @@ def test_two_element_reduced_groebner_basis(g, imgs, gens, order):
     assert_matches_oracle(g, imgs, list(basis), order)
 
 
+@KERNEL
+@given(dividends, st.lists(generators, min_size=2, max_size=3), st.sampled_from([1, -1, 2]),
+       st.sampled_from(["grevlex", "lex"]))
+@example(p("x^2*y"), [p("x*y - 1"), p("x^2 - y")], 1, "grevlex")
+@example(p("x^2*y"), [p("x^2 - y"), p("x*y - 1")], 1, "grevlex")
+def test_divisor_list_that_is_not_a_groebner_basis(f, divisors, lc, order):
+    # The examples give remainders x and y^2: the first applicable divisor wins.
+    divisors = [with_leading_coefficient(divisors[0], lc, order)] + divisors[1:]
+    assert_division_matches_oracle(f, divisors, order)
+
+
+@KERNEL
+@given(dividends, outer, images, generators, st.sampled_from([2, -3, 4, 6]),
+       st.sampled_from([2, 3]), st.sampled_from(["grevlex", "lex"]))
+def test_non_unit_leading_coefficient_with_rational_tail(f, g, imgs, gen, lc, den, order):
+    # The integer leading coefficient rarely divides a term's coefficient,
+    # so the division takes pseudo-steps.
+    divisor = with_rational_tail(gen, lc, den, order)
+    assert_division_matches_oracle(f, [divisor], order)
+    assert_matches_oracle(g, imgs, [divisor], order)
+
+
 def test_images_from_a_smaller_ring_are_embedded():
     g = p("x^2*y - z")
     imgs = {"x": p("y + 1", ("x", "y")), "y": p("x*y", ("x", "y")), "z": p("x", ("x",))}
     basis = [p("x*z - y^2 + 1")]
-    expected = normal_form(p("y + 1") ** 2 * p("x*y") - p("x"), basis)
+    _, expected = naive_division(p("y + 1") ** 2 * p("x*y") - p("x"), basis)
     assert substitute_reduced(g, imgs, basis) == expected
 
 
