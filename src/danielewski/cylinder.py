@@ -12,7 +12,11 @@ ideal membership, and every splitting is re-verified by direct expansion.
 
 Chart conventions: over the line with r origins every glued object carries
 one chart per branch with local ring Q[x, <fiber coordinates>]; the pair
-(i, j) transition adds the class part g_ij to each fiber coordinate.
+(i, j) transition adds the class part g_ij to each fiber coordinate.  One
+helper, ``_chart_embedding``, writes a surface's y and z on a chart; it
+serves the global functions of a surface model, the re-expression check and
+the images of the maps.  The construction is symmetric in the two surfaces,
+so the backward map is the forward recipe run with the surfaces swapped.
 """
 
 from __future__ import annotations
@@ -199,41 +203,45 @@ def verify_global_functions(model: GluedModel) -> bool:
     return True
 
 
+def _chart_embedding(surface: DanielewskiSurface, chart: int, x: MultiPoly, v: MultiPoly) -> dict:
+    """The surface coordinates x, y, z on one chart with fiber coordinate v.
+
+    On chart i: y = y_i + x^n v and z = v * prod_{j != i}(y_i - y_j + x^n v).
+    ``x`` and ``v`` may be any polynomials of one ring, so the same formula
+    also embeds the composite maps of the cylinder construction.
+    """
+    values = surface.root_values()
+    xn_v = x ** surface.n * v
+    y = MultiPoly.const(v.ring, values[chart]) + xn_v
+    z = v
+    for j, val in enumerate(values):
+        if j != chart:
+            z = z * (MultiPoly.const(v.ring, values[chart] - val) + xn_v)
+    return {"x": x, "y": y, "z": z}
+
+
 def attach_surface_functions(model: GluedModel, surface: DanielewskiSurface) -> GluedModel:
     """Attach the embedding coordinates x, y, z as global functions.
 
-    On chart i: y = y_i + x^n v and z = v * prod_{j != i}(y_i - y_j + x^n v);
-    agreement under the transitions and vanishing of the defining equation
-    are verified exactly on every chart.
+    Chart i carries ``_chart_embedding`` of the surface; agreement under the
+    transitions and vanishing of the defining equation are verified exactly
+    on every chart.
     """
     if len(model.coordinates) != 1:
         raise ValueError("expected the one-coordinate torsor model of a surface")
     if model.coordinates[0].transitions != surface_class(surface):
         raise ValueError("model transitions do not match the surface class")
-    ring = model.chart_ring
-    x = MultiPoly.var(ring, ring[0])
-    v = MultiPoly.var(ring, ring[1])
-    values = surface.root_values()
-    n = surface.n
-    xs, ys, zs = [], [], []
-    for i in range(model.n_charts):
-        y_i = MultiPoly.const(ring, values[i]) + x ** n * v
-        z_i = v
-        for j, val in enumerate(values):
-            if j != i:
-                z_i = z_i * (MultiPoly.const(ring, values[i] - val) + x ** n * v)
-        xs.append(x)
-        ys.append(y_i)
-        zs.append(z_i)
+    x, v = (MultiPoly.var(model.chart_ring, name) for name in model.chart_ring)
+    f = surface.defining_polynomial
+    charts = [_chart_embedding(surface, i, x, v) for i in range(model.n_charts)]
+    for i, embedding in enumerate(charts):
         # the defining equation vanishes identically on the chart
-        f = surface.defining_polynomial
-        image = substitute(f, {"x": x, "y": y_i, "z": z_i})
-        if not image.is_zero():
+        if not substitute(f, embedding).is_zero():
             raise RuntimeError(f"chart {i} does not satisfy the defining equation")
     attached = GluedModel(
         model.curve,
         model.coordinates,
-        (("x", tuple(xs)), ("y", tuple(ys)), ("z", tuple(zs))),
+        tuple((name, tuple(e[name] for e in charts)) for name in ("x", "y", "z")),
     )
     if not verify_global_functions(attached):
         raise RuntimeError("surface functions disagree under transitions")
@@ -387,20 +395,6 @@ def cylinder_presentation(surface: DanielewskiSurface) -> IdealPresentation:
     return IdealPresentation(CYLINDER_RING, [f])
 
 
-def _chart_assignment(surface, chart: int, chart_ring) -> dict:
-    """Embedding coordinates of the cylinder restricted to one chart."""
-    x = MultiPoly.var(chart_ring, chart_ring[0])
-    v = MultiPoly.var(chart_ring, chart_ring[1])
-    t = MultiPoly.var(chart_ring, chart_ring[2])
-    values = surface.root_values()
-    y_i = MultiPoly.const(chart_ring, values[chart]) + x ** surface.n * v
-    z_i = v
-    for j, val in enumerate(values):
-        if j != chart:
-            z_i = z_i * (MultiPoly.const(chart_ring, values[chart] - val) + x ** surface.n * v)
-    return {"x": x, "y": y_i, "z": z_i, "w": t}
-
-
 def reexpress_on_cylinder(
     chart_exprs: Sequence[MultiPoly], surface: DanielewskiSurface
 ) -> MultiPoly:
@@ -432,14 +426,13 @@ def reexpress_on_cylinder(
             else:
                 terms.pop(key, None)
     f = cylinder_presentation(surface).generators[0]
-    x, z = MultiPoly.var(CYLINDER_RING, "x"), MultiPoly.var(CYLINDER_RING, "z")
-    p_of_y = x ** n * z - f
+    p_of_y = MultiPoly.var(CYLINDER_RING, "x") ** n * MultiPoly.var(CYLINDER_RING, "z") - f
     for _ in range(clear_power):
         terms = _divide_once_by_x(terms, p_of_y, n)
     candidate = normal_form(MultiPoly(CYLINDER_RING, terms), [f])
+    x, v, t = (MultiPoly.var(chart_ring, name) for name in chart_ring)
     for chart, expr in enumerate(chart_exprs):
-        assignment = _chart_assignment(surface, chart, chart_ring)
-        if substitute(candidate, assignment) != expr:
+        if substitute(candidate, {**_chart_embedding(surface, chart, x, v), "w": t}) != expr:
             raise RuntimeError(f"re-expressed function disagrees on chart {chart}")
     return candidate
 
@@ -494,54 +487,54 @@ def _transport(c: CechClass, curve: MultifoldCurve) -> CechClass:
     return CechClass(curve, dict(c.parts))
 
 
-def _chart_composites(
-    splittings: tuple[Splitting, Splitting, Splitting, Splitting],
-    n_charts: int,
-    chart_ring: tuple[str, ...],
-):
-    """Per-chart forward data: the two coordinates of the composite map.
+def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitting]):
+    """Per-chart data of one direction: the two coordinates of the composite map.
 
     With p = aux split over the first surface, q = first-class split over the
     auxiliary torsor, q2 = second-class split over the auxiliary torsor and
-    p2 = aux split over the second surface, chart i sends (x, v, t) to
-    (x, u, s) where w = t + p_i(x, v), u = v - q_i(x, w) + q2_i(x, w) and
-    s = w - p2_i(x, u).
+    p2 = aux split over the second surface, chart i of the first cylinder,
+    with ring Q[x, v, t], goes to (x, u, s) on the second, where
+    w = t + p_i(x, v), u = v - q_i(x, w) + q2_i(x, w) and s = w - p2_i(x, u).
+    The same recipe serves both directions: the backward map is the forward
+    one with the surfaces swapped, that is with the splittings ordered
+    (p2, q2, p, q).
     """
     p, q, p2, q2 = splittings
-    x = MultiPoly.var(chart_ring, chart_ring[0])
-    v = MultiPoly.var(chart_ring, chart_ring[1])
-    t = MultiPoly.var(chart_ring, chart_ring[2])
+    ring = ("x", "v", "t")
+    x, v, t = (MultiPoly.var(ring, name) for name in ring)
+
+    def at(split: Splitting, i: int, fiber: MultiPoly) -> MultiPoly:
+        return substitute(split.per_chart[i], dict(zip(split.chart_ring, (x, fiber))))
+
     us, ss = [], []
-    for i in range(n_charts):
-        p_i = substitute(p.per_chart[i], {p.chart_ring[0]: x, p.chart_ring[1]: v})
-        w_expr = t + p_i
-        sub_w = {q.chart_ring[0]: x, q.chart_ring[1]: w_expr}
-        q_i = substitute(q.per_chart[i], sub_w)
-        q2_i = substitute(q2.per_chart[i], {q2.chart_ring[0]: x, q2.chart_ring[1]: w_expr})
-        u_expr = v - q_i + q2_i
-        p2_i = substitute(p2.per_chart[i], {p2.chart_ring[0]: x, p2.chart_ring[1]: u_expr})
-        s_expr = w_expr - p2_i
+    for i in range(len(p.per_chart)):
+        w_expr = t + at(p, i, v)
+        u_expr = v - at(q, i, w_expr) + at(q2, i, w_expr)
         us.append(u_expr)
-        ss.append(s_expr)
+        ss.append(w_expr - at(p2, i, u_expr))
     return us, ss
 
 
-def _images_from_composites(us, ss, target: DanielewskiSurface, chart_ring):
-    """Embedded images of (x, y, z, w) of the target cylinder, per chart."""
-    x = MultiPoly.var(chart_ring, chart_ring[0])
-    values = target.root_values()
-    n = target.n
-    y_charts, z_charts, w_charts = [], [], []
-    for i, (u_expr, s_expr) in enumerate(zip(us, ss)):
-        y_i = MultiPoly.const(chart_ring, values[i]) + x ** n * u_expr
-        z_i = u_expr
-        for j, val in enumerate(values):
-            if j != i:
-                z_i = z_i * (MultiPoly.const(chart_ring, values[i] - val) + x ** n * u_expr)
-        y_charts.append(y_i)
-        z_charts.append(z_i)
-        w_charts.append(s_expr)
-    return y_charts, z_charts, w_charts
+def _embedded_images(
+    splittings: tuple[Splitting, Splitting, Splitting, Splitting],
+    source: DanielewskiSurface,
+    target: DanielewskiSurface,
+) -> dict:
+    """Images of the target cylinder's (x, y, z, w) on the source cylinder.
+
+    The composites of ``_chart_composites`` give (u, s) on each source
+    chart; ``_chart_embedding`` of the target turns u into y and z, s is w,
+    and ``reexpress_on_cylinder`` writes each image in (x, y, z, w).
+    """
+    us, ss = _chart_composites(splittings)
+    x = MultiPoly.var(us[0].ring, "x")
+    charts = [_chart_embedding(target, i, x, u) for i, u in enumerate(us)]
+    return {
+        "x": MultiPoly.var(CYLINDER_RING, "x"),
+        "y": reexpress_on_cylinder([e["y"] for e in charts], source),
+        "z": reexpress_on_cylinder([e["z"] for e in charts], source),
+        "w": reexpress_on_cylinder(ss, source),
+    }
 
 
 def cylinder_construction(
@@ -576,41 +569,8 @@ def cylinder_construction(
         break
     else:
         raise failure
-    n_charts = model_src.n_charts
-
-    src_chart_ring = ("x", "v", "t")
-    us, ss = _chart_composites((split_p, split_q, split_p2, split_q2), n_charts, src_chart_ring)
-    y_ch, z_ch, w_ch = _images_from_composites(us, ss, target, src_chart_ring)
-    forward_images = {
-        "x": ring_embed(MultiPoly.var(("x",), "x"), CYLINDER_RING),
-        "y": reexpress_on_cylinder(y_ch, source),
-        "z": reexpress_on_cylinder(z_ch, source),
-        "w": reexpress_on_cylinder(w_ch, source),
-    }
-
-    # Backward: on chart i of the target cylinder, w = s + p2_i(x, u),
-    # v = u - q2_i(x, w) + q_i(x, w), t = w - p_i(x, v).
-    tgt_chart_ring = ("x", "u", "s")
-    x = MultiPoly.var(tgt_chart_ring, "x")
-    u = MultiPoly.var(tgt_chart_ring, "u")
-    s_var = MultiPoly.var(tgt_chart_ring, "s")
-    vs_back, ts_back = [], []
-    for i in range(n_charts):
-        p2_i = substitute(split_p2.per_chart[i], {split_p2.chart_ring[0]: x, split_p2.chart_ring[1]: u})
-        w_expr = s_var + p2_i
-        q2_i = substitute(split_q2.per_chart[i], {split_q2.chart_ring[0]: x, split_q2.chart_ring[1]: w_expr})
-        q_i = substitute(split_q.per_chart[i], {split_q.chart_ring[0]: x, split_q.chart_ring[1]: w_expr})
-        v_expr = u - q2_i + q_i
-        p_i = substitute(split_p.per_chart[i], {split_p.chart_ring[0]: x, split_p.chart_ring[1]: v_expr})
-        vs_back.append(v_expr)
-        ts_back.append(w_expr - p_i)
-    yb_ch, zb_ch, wb_ch = _images_from_composites(vs_back, ts_back, source, tgt_chart_ring)
-    backward_images = {
-        "x": ring_embed(MultiPoly.var(("x",), "x"), CYLINDER_RING),
-        "y": reexpress_on_cylinder(yb_ch, target),
-        "z": reexpress_on_cylinder(zb_ch, target),
-        "w": reexpress_on_cylinder(wb_ch, target),
-    }
+    forward_images = _embedded_images((split_p, split_q, split_p2, split_q2), source, target)
+    backward_images = _embedded_images((split_p2, split_q2, split_p, split_q), target, source)
 
     src_pres = cylinder_presentation(source)
     tgt_pres = cylinder_presentation(target)

@@ -709,6 +709,23 @@ def unchecked_certificate(forward: PolyMap, backward: PolyMap) -> IsoCertificate
     return IsoCertificate(forward=forward, backward=backward)
 
 
+def round_trip_residual(
+    outer: MultiPoly,
+    inner_images: Mapping[str, MultiPoly],
+    var: str,
+    divisors: Sequence[MultiPoly],
+    order: str = "grevlex",
+) -> MultiPoly:
+    """Remainder of ``outer`` after ``inner_images``, minus ``var``, modulo ``divisors``.
+
+    The composite is formed by ``substitute_reduced``; modulo a Groebner
+    basis (a single generator is one) the composite is the identity on
+    ``var`` iff the result is zero.
+    """
+    composite = substitute_reduced(outer, dict(inner_images), divisors, order)
+    return normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
+
+
 def verify_iso_certificate(cert: IsoCertificate, order: str = "grevlex") -> IsoCertificate:
     """Compute all four flags and attach membership witnesses.
 
@@ -719,60 +736,34 @@ def verify_iso_certificate(cert: IsoCertificate, order: str = "grevlex") -> IsoC
     forward, backward = cert.forward, cert.backward
     if forward.source != backward.target or forward.target != backward.source:
         raise ValueError("forward and backward maps do not pair up structurally")
+    # each direction: the map, its inverse, its claim prefix, the side of its source
+    directions = (
+        (forward, backward, "forward", "source"),
+        (backward, forward, "backward", "target"),
+    )
     claims: list[Claim] = []
+    for pmap, _, label, side in directions:
+        for k, g in enumerate(pmap.target.generators):
+            poly = pmap.pull_back(g)
+            ok, cofactors, residual = ideal_member_witness(poly, pmap.source, order)
+            claims.append(Claim(f"{label}_well_defined[{k}]", side, "generator_pullback", str(k),
+                                poly, residual, cofactors, ok))
+    for pmap, inverse, _, side in directions:
+        basis = _groebner_cached(pmap.source, order)
+        for var in pmap.source.ring:
+            residual = round_trip_residual(inverse.images[var], pmap.images, var, basis, order)
+            claims.append(Claim(f"round_trip_{side}[{var}]", side, "round_trip", var, None,
+                                residual, None, residual.is_zero()))
 
-    def pullback_claim(name: str, which: str, ideal: IdealPresentation, k: int, poly: MultiPoly) -> bool:
-        ok, cofactors, residual = ideal_member_witness(poly, ideal, order)
-        claims.append(
-            Claim(name, which, "generator_pullback", str(k), poly, residual, cofactors, ok)
-        )
-        return ok
-
-    def round_trip_claim(
-        name: str, which: str, ideal: IdealPresentation, var: str,
-        outer: MultiPoly, inner_images: Mapping[str, MultiPoly],
-    ) -> bool:
-        basis = _groebner_cached(ideal, order)
-        composite = substitute_reduced(outer, dict(inner_images), basis, order)
-        residual = normal_form(composite - MultiPoly.var(ideal.ring, var), basis, order)
-        ok = residual.is_zero()
-        claims.append(Claim(name, which, "round_trip", var, None, residual, None, ok))
-        return ok
-
-    fwd_ok = True
-    for k, g in enumerate(forward.target.generators):
-        ok = pullback_claim(
-            f"forward_well_defined[{k}]", "source", forward.source, k, forward.pull_back(g)
-        )
-        fwd_ok = fwd_ok and ok
-    bwd_ok = True
-    for k, g in enumerate(backward.target.generators):
-        ok = pullback_claim(
-            f"backward_well_defined[{k}]", "target", backward.source, k, backward.pull_back(g)
-        )
-        bwd_ok = bwd_ok and ok
-
-    comp1 = True
-    for name in forward.source.ring:
-        ok = round_trip_claim(
-            f"round_trip_source[{name}]", "source", forward.source, name,
-            backward.images[name], forward.images,
-        )
-        comp1 = comp1 and ok
-    comp2 = True
-    for name in forward.target.ring:
-        ok = round_trip_claim(
-            f"round_trip_target[{name}]", "target", backward.source, name,
-            forward.images[name], backward.images,
-        )
-        comp2 = comp2 and ok
+    def holds(kind: str, side: str) -> bool:
+        return all(c.ok for c in claims if c.kind == kind and c.ideal == side)
 
     return IsoCertificate(
         forward=forward,
         backward=backward,
-        forward_well_defined=fwd_ok,
-        backward_well_defined=bwd_ok,
-        backward_forward_identity=comp1,
-        forward_backward_identity=comp2,
+        forward_well_defined=holds("generator_pullback", "source"),
+        backward_well_defined=holds("generator_pullback", "target"),
+        backward_forward_identity=holds("round_trip", "source"),
+        forward_backward_identity=holds("round_trip", "target"),
         evidence=tuple(claims),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .cech import CechClass, equivariant_class, pic_group, surface_class
-from .cylinder import CounterexamplePair, CylinderConstruction, Splitting
+from .cylinder import CYLINDER_RING, CounterexamplePair, CylinderConstruction, Splitting
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
     DanielewskiSurface,
@@ -25,22 +25,9 @@ from .fibration import (
     relatively_connected_quotient,
     LineBundle,
 )
-from .ideals import (
-    Claim,
-    IdealPresentation,
-    IsoCertificate,
-    PolyMap,
-    normal_form,
-    substitute_reduced,
-)
-from .ratpoly import (
-    LaurentPoly,
-    MultiPoly,
-    as_fraction,
-    fraction_str,
-    poly_from_str,
-    substitute,
-)
+from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, round_trip_residual
+from .ratpoly import LaurentPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute
+from .surfexpr import parse_surface
 
 REPORT_SCHEMA = "danielewski.report/1"
 PROOF_SCHEMA = "danielewski.proof/1"
@@ -330,6 +317,8 @@ def _check_proof_shape(doc) -> dict:
     """The certificate of a proof document, after checking every key replay reads."""
     if not isinstance(doc, dict):
         raise ProofFormatError("a proof document must be a JSON object")
+    for key in ("source_surface", "target_surface"):
+        _field(_field(doc, key, dict, "proof"), "equation", str, f"proof.{key}")
     cert = _field(doc, "certificate", dict, "proof")
     for side in ("source", "target"):
         pres = _field(cert, side, dict, "certificate")
@@ -370,7 +359,8 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     coefficients anywhere in the maps, claims, or splittings.  The claim set
     is derived here, not trusted: one ``generator_pullback`` per generator
     and one ``round_trip`` per ring variable on each side, none missing,
-    repeated or extra.  A document of the wrong shape raises
+    repeated or extra.  Each side's surface equation must rebuild the
+    certified generator.  A document of the wrong shape raises
     ``ProofFormatError`` before any arithmetic.
     """
     cert = _check_proof_shape(doc)
@@ -398,6 +388,14 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
 
     presentations = {"source": source, "target": target}
     maps = {"source": forward, "target": backward}
+    for side, pres in presentations.items():
+        spec = parse_surface(doc[f"{side}_surface"]["equation"])
+        generator = pres.generators[0]
+        # compare degrees first, so a hostile equation is never expanded
+        if max(spec.n + 1, sum(m for _, m in spec.roots)) != generator.total_degree() or (
+            ring_embed(spec.polynomial(), CYLINDER_RING) != generator
+        ):
+            failures.append(f"{side}_surface: equation does not match the certified generator")
     # one pullback per generator (there is one on each side), one round trip per variable
     required = {("generator_pullback", side, "0") for side in presentations}
     required |= {("round_trip", side, v) for side, pres in presentations.items() for v in pres.ring}
@@ -414,6 +412,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             failures.append(f"{name}: duplicate claim {identity}")
             continue
         seen.add(identity)
+        other = "target" if which == "source" else "source"
         pres = presentations[which]
         ring = pres.ring
         residual = poly_from_str(claim_doc["residual"], ring)
@@ -421,8 +420,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             failures.append(f"{name}: claim recorded as failing")
             continue
         if claim_doc["kind"] == "generator_pullback":
-            other = presentations["target" if which == "source" else "source"]
-            member = substitute(other.generators[0], maps[which])
+            member = substitute(presentations[other].generators[0], maps[which])
             stated = poly_from_str(claim_doc["polynomial"], ring)
             if member != stated:
                 failures.append(f"{name}: recorded pullback does not match the maps")
@@ -434,15 +432,8 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
                 failures.append(f"{name}: cofactor identity fails")
         else:
             var = claim_doc["subject"]
-            if which == "source":
-                outer, inner = backward[var], forward
-            else:
-                outer, inner = forward[var], backward
-            composite = substitute_reduced(outer, inner, list(pres.generators))
-            check = normal_form(
-                composite - MultiPoly.var(ring, var), list(pres.generators)
-            )
-            if not check.is_zero():
+            recomputed = round_trip_residual(maps[other][var], maps[which], var, pres.generators)
+            if not recomputed.is_zero():
                 failures.append(f"{name}: composite is not the identity modulo the ideal")
     failures.extend(f"missing {kind} claim on the {side} side for {subject}"
                     for kind, side, subject in sorted(required - seen))

@@ -559,7 +559,6 @@ def poly_to_laurent(s: MultiPoly, variable: str, center=0) -> LaurentPoly:
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.items: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
@@ -646,12 +645,10 @@ def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
     while True:
         coeff = Fraction(sign)
         exp = [0] * len(ring)
-        saw_factor = False
         while True:
             tok = toks.peek()
             if tok[0] == "int":
                 coeff *= _parse_unsigned_rational(toks)
-                saw_factor = True
             elif tok[0] == "name":
                 toks.next()
                 if tok[1] not in ring:
@@ -660,15 +657,12 @@ def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
                 if toks.peek()[0] == "^":
                     e = _parse_exponent(toks, allow_negative=False)
                 exp[ring.index(tok[1])] += e
-                saw_factor = True
             else:
                 raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
             if toks.peek()[0] == "*":
                 toks.next()
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", toks.peek()[2])
         result = result + MultiPoly.monomial(ring, tuple(exp), coeff)
         tok = toks.peek()
         if tok[0] == "end":
@@ -720,27 +714,22 @@ def laurent_from_str(text: str, variable: str, center=0) -> LaurentPoly:
     while True:
         coeff = Fraction(sign)
         exponent = 0
-        saw_factor = False
         while True:
             tok = toks.peek()
             if tok[0] == "int":
                 coeff *= _parse_unsigned_rational(toks)
-                saw_factor = True
             elif tok[0] in ("name", "("):
                 parse_base(tok)
                 e = 1
                 if toks.peek()[0] == "^":
                     e = _parse_exponent(toks, allow_negative=True)
                 exponent += e
-                saw_factor = True
             else:
                 raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
             if toks.peek()[0] == "*":
                 toks.next()
                 continue
             break
-        if not saw_factor:
-            raise ParseError("empty term", toks.peek()[2])
         terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
         tok = toks.peek()
         if tok[0] == "end":

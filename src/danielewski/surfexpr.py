@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .fibration import DanielewskiSurface, Variant, build_surface, format_equation
-from .ratpoly import _Tokens
+from .fibration import (
+    DanielewskiSurface, Variant, _poly_from_roots, build_surface, format_equation,
+)
+from .ratpoly import MultiPoly, _parse_unsigned_rational, _Tokens
 
 
 @dataclass(frozen=True)
@@ -37,24 +39,16 @@ class SurfaceSpec:
     def to_surface(self) -> DanielewskiSurface:
         return build_surface(self.n, list(self.roots), self.variant)
 
+    def polynomial(self) -> MultiPoly:
+        """The defining polynomial, without the smoothness check of ``to_surface``."""
+        return _poly_from_roots(self.roots, self.variant is Variant.SHIFTED, self.n)
+
 
 def _parse_positive_int(toks: _Tokens) -> int:
     tok = toks.expect("int")
     value = int(tok[1])
     if value < 1:
         raise ParseError("exponent must be a positive integer", tok[2])
-    return value
-
-
-def _parse_rational(toks: _Tokens) -> Fraction:
-    tok = toks.expect("int")
-    value = Fraction(int(tok[1]))
-    if toks.peek()[0] == "/":
-        toks.next()
-        den = toks.expect("int")
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", den[2])
-        value /= int(den[1])
     return value
 
 
@@ -86,7 +80,7 @@ def parse_surface(text: str) -> SurfaceSpec:
         tok = toks.peek()
         if tok[0] == "int" and first_factor:
             # explicit leading constant; only 1 keeps the product monic
-            value = _parse_rational(toks)
+            value = _parse_unsigned_rational(toks)
             if value != 1:
                 raise ParseError(f"non-monic leading constant {value}", tok[2])
             _skip_star(toks)
@@ -105,7 +99,7 @@ def parse_surface(text: str) -> SurfaceSpec:
             op = toks.next()
             if op[0] not in "+-":
                 raise ParseError("expected '+' or '-' inside factor", op[2])
-            value = _parse_rational(toks)
+            value = _parse_unsigned_rational(toks)
             root = -value if op[0] == "+" else value
             toks.expect(")")
         else:

@@ -89,9 +89,9 @@ def test_verify_detects_tampering(tmp_path, capsys):
         "--out", str(proof_path))
     original = json.loads(proof_path.read_text())
 
-    def refused(edit):
+    def refused(edit, on_certificate=True):
         doc = copy.deepcopy(original)
-        edit(doc["certificate"])
+        edit(doc["certificate"] if on_certificate else doc)
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         code, verdict, _ = run_json(capsys, "verify", str(tampered))
@@ -129,6 +129,28 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(extra)
     assert failures == ["extra: unexpected claim ('round_trip', 'target', 'q')"]
 
+    # The surfaces named in the proof must be the ones the certificate is about.
+    def other_surfaces(doc):
+        doc["source_surface"]["equation"] = "x z = (y - 1) (y + 2)"
+        doc["target_surface"]["equation"] = "x^5 z = (y - 7) (y + 1)"
+
+    failures = refused(other_surfaces, on_certificate=False)
+    assert failures == [
+        "source_surface: equation does not match the certified generator",
+        "target_surface: equation does not match the certified generator",
+    ]
+    failures = refused(
+        lambda doc: doc["target_surface"].update(equation="x^2 z = (y - 1) (y + 1) - x"),
+        on_certificate=False,
+    )
+    assert failures == ["target_surface: equation does not match the certified generator"]
+    # a degree above the generator's is refused before P(y) is expanded
+    failures = refused(
+        lambda doc: doc["source_surface"].update(equation="x z = (y - 1)^100000 (y + 1)"),
+        on_certificate=False,
+    )
+    assert failures == ["source_surface: equation does not match the certified generator"]
+
 
 def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
@@ -157,8 +179,12 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     def splitting_is_a_list(doc):
         doc["construction"]["splittings"]["aux_over_source"] = []
 
+    def surface_without_equation(doc):
+        del doc["target_surface"]["equation"]
+
     for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
-                 images_are_a_string, image_is_a_number, splitting_is_a_list):
+                 images_are_a_string, image_is_a_number, splitting_is_a_list,
+                 surface_without_equation):
         doc = copy.deepcopy(original)
         edit(doc)
         bad = tmp_path / f"{edit.__name__}.json"

@@ -226,6 +226,20 @@ def test_cylinder_iso_symmetry_both_directions():
     assert cylinder_iso(b, a).is_valid()
 
 
+@pytest.mark.parametrize("n, roots", [
+    (1, [(1, 1), (-1, 1)]),
+    (1, [(0, 1), (1, 1), (2, 1)]),
+    (2, [(Fraction(-1, 2), 1), (Fraction(1, 2), 1)]),
+])
+def test_swapping_the_surfaces_swaps_the_maps(n, roots):
+    # the backward map is the forward recipe with the two surfaces swapped
+    shallow = build_surface(n, roots, Variant.PLAIN)
+    deep = build_surface(n + 1, roots, Variant.PLAIN)
+    there, back = cylinder_iso(shallow, deep), cylinder_iso(deep, shallow)
+    assert there.forward.images == back.backward.images
+    assert there.backward.images == back.forward.images
+
+
 def test_cylinder_iso_different_roots_same_branch_count():
     a = build_surface(1, [(0, 1), (1, 1)], Variant.PLAIN)
     b = build_surface(2, [(1, 1), (-1, 1)], Variant.PLAIN)

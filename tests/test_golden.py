@@ -26,6 +26,11 @@ ANALYZE = [
     "x z = (y + 3)^2 (y - 4)^2 - x",  # singular: refused, empty stdout
 ]
 
+# the source is the deeper surface, so the auxiliary class is the target's
+CYLINDER_ISOS = [
+    ("shallow_mix", "x^2 z = (y + 2) (y + 3) (y + 1)", "x z = (y + 2) (y + 3) (y + 1)"),
+]
+
 COUNTEREXAMPLES = [
     ("shallow_mix", "x z = (y + 1) (y - 2)"),
     ("rational_roots", "x z = (y + 1/2) (y - 1/2) (y + 3/2)"),
@@ -47,12 +52,20 @@ def test_analyze_matches_golden_digest(equation, capsys):
     assert digest(stdout_of(argv, capsys)) == GOLDEN["analyze_batch"][json.dumps(argv)]
 
 
-@pytest.mark.parametrize("workload, equation", COUNTEREXAMPLES)
-def test_counterexample_and_verify_match_golden_digests(workload, equation, capsys, tmp_path):
-    argv = ["counterexample", equation]
+def construct_and_verify_match(workload, argv, capsys, tmp_path):
     proof = stdout_of(argv, capsys)
     assert digest(proof) == GOLDEN[workload][json.dumps(argv)]
     path = tmp_path / "proof.json"
     path.write_text(proof, encoding="utf-8")
     verdict = stdout_of(["verify", str(path)], capsys)
     assert digest(verdict) == GOLDEN[workload][json.dumps(["verify", *argv])]
+
+
+@pytest.mark.parametrize("workload, source, target", CYLINDER_ISOS)
+def test_cylinder_iso_and_verify_match_golden_digests(workload, source, target, capsys, tmp_path):
+    construct_and_verify_match(workload, ["cylinder-iso", source, target], capsys, tmp_path)
+
+
+@pytest.mark.parametrize("workload, equation", COUNTEREXAMPLES)
+def test_counterexample_and_verify_match_golden_digests(workload, equation, capsys, tmp_path):
+    construct_and_verify_match(workload, ["counterexample", equation], capsys, tmp_path)
