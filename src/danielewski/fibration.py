@@ -136,16 +136,22 @@ class MarkedPoint:
 
 
 def _poly_from_roots(roots, shifted: bool, n: int) -> MultiPoly:
-    y = MultiPoly.var(SURFACE_RING, "y")
-    x = MultiPoly.var(SURFACE_RING, "x")
-    z = MultiPoly.var(SURFACE_RING, "z")
-    p_of_y = MultiPoly.const(SURFACE_RING, 1)
+    """``x^n z - P(y) [+ x]``, with P(y) expanded as a dense coefficient list.
+
+    The list holds integer coefficients of ``den * P(y)``, lowest degree
+    first; each root p/q multiplies it by ``q y - p`` and ``den`` by q.
+    """
+    p_of_y, den = [1], 1
     for root, mult in roots:
-        p_of_y = p_of_y * (y - MultiPoly.const(SURFACE_RING, root)) ** mult
-    f = x ** n * z - p_of_y
+        p, q = root.numerator, root.denominator
+        for _ in range(mult):
+            p_of_y = [q * a - p * b for a, b in zip([0, *p_of_y], [*p_of_y, 0])]
+            den *= q
+    terms = {(0, k, 0): Fraction(-c, den) for k, c in enumerate(p_of_y)}
+    terms[(n, 0, 1)] = Fraction(1)
     if shifted:
-        f = f + x
-    return f
+        terms[(1, 0, 0)] = Fraction(1)
+    return MultiPoly(SURFACE_RING, terms)
 
 
 def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> DanielewskiSurface:

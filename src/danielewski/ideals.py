@@ -11,7 +11,14 @@ first, first divisor whose leading term divides it, with integer
 coefficients over one denominator and a pseudo-step where a leading
 coefficient does not divide.  ``reduce_full`` and ``normal_form``, the
 S-polynomial and tail reductions of Buchberger's algorithm, and the Horner
-kernel of ``substitute_reduced`` all use it.
+kernel of ``substitute_reduced`` all use it.  That kernel with no divisors
+is also the plain ``ratpoly.substitute``.
+
+A round trip of an isomorphism certificate (``round_trip_residual``) on a
+principal ideal divides by its one generator f, which is a Groebner basis
+under every monomial order.  When f is monic in a variable v, as
+``x^n z - P(y)`` is in y, the division runs in lex order with v first,
+where the composites stay small.
 
 Everything is computed over exact rationals; a membership verdict is an
 unconditional identity ``f = sum(cofactor_i * generator_i)`` that third
@@ -656,10 +663,12 @@ class Claim:
 
     ``generator_pullback`` claims carry the claimed member and an exact
     cofactor identity ``polynomial == sum(cofactors * generators) + residual``.
-    ``round_trip`` claims store the normal form of the composite minus the
-    identity (computed with incremental reduction); replaying them needs only
-    division by the stated generators, never a basis computation.  A claim
-    holds iff its residual is zero.
+    ``round_trip`` claims store the remainder of the composite minus the
+    identity (``round_trip_residual``): for one generator, its remainder in
+    the generator's elimination order, else the normal form modulo the
+    Groebner basis.  Replaying them needs only division by the stated
+    generators, never a basis computation.  A claim holds iff its residual
+    is zero.
     """
 
     name: str
@@ -709,6 +718,26 @@ def unchecked_certificate(forward: PolyMap, backward: PolyMap) -> IsoCertificate
     return IsoCertificate(forward=forward, backward=backward)
 
 
+def _elimination_variable(f: MultiPoly) -> Optional[str]:
+    """The first variable v of ``f.ring`` in which ``f`` is monic, else None.
+
+    Monic in v means that the top v-power of ``f`` is a pure power c * v^r
+    with r >= 1: no other term of ``f`` has v-degree r.  Its lex leading
+    term with v first is then c * v^r.
+    """
+    for i, v in enumerate(f.ring):
+        r = max((exp[i] for exp in f.terms), default=0)
+        top = [exp for exp in f.terms if exp[i] == r]
+        if r and top == [tuple(r if j == i else 0 for j in range(len(f.ring)))]:
+            return v
+    return None
+
+
+def _elimination_ring(ring: tuple[str, ...], v: str) -> tuple[str, ...]:
+    """``ring`` with ``v`` moved to the front, if it is there."""
+    return (v,) + tuple(u for u in ring if u != v) if v in ring else ring
+
+
 def round_trip_residual(
     outer: MultiPoly,
     inner_images: Mapping[str, MultiPoly],
@@ -719,11 +748,23 @@ def round_trip_residual(
     """Remainder of ``outer`` after ``inner_images``, minus ``var``, modulo ``divisors``.
 
     The composite is formed by ``substitute_reduced``; modulo a Groebner
-    basis (a single generator is one) the composite is the identity on
-    ``var`` iff the result is zero.
+    basis the composite is the identity on ``var`` iff the result is zero.
+    A single divisor f is a Groebner basis under every monomial order, so
+    when f is monic in a variable v (see ``_elimination_variable``) the
+    residual is the remainder in f's elimination order instead of
+    ``order``: lex with v first and the other variables in ring order, for
+    the packed monomials, the Horner nesting of ``outer`` and the division
+    alike.  For ``x^n z - P(y)`` that is v = y, and the remainder has
+    y-degree below deg P.  The result is returned in the divisors' ring.
     """
+    v = _elimination_variable(divisors[0]) if len(divisors) == 1 else None
+    if v is not None:
+        ring, order = divisors[0].ring, "lex"
+        outer = ring_embed(outer, _elimination_ring(outer.ring, v))
+        divisors = [ring_embed(divisors[0], _elimination_ring(ring, v))]
     composite = substitute_reduced(outer, dict(inner_images), divisors, order)
-    return normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
+    residual = normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
+    return residual if v is None else ring_embed(residual, ring)
 
 
 def verify_iso_certificate(cert: IsoCertificate, order: str = "grevlex") -> IsoCertificate:

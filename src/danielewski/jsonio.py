@@ -338,15 +338,14 @@ def _check_proof_shape(doc) -> dict:
         if claim["kind"] == "generator_pullback":
             _field(claim, "polynomial", str, where)
             _field(claim, "cofactors", list, where, str)
-    if "construction" in doc:
-        construction = _field(doc, "construction", dict, "proof")
-        splittings = _field(construction, "splittings", dict, "construction")
-        for tag in _SPLITTING_TAGS:
-            where = f"construction.splittings.{tag}"
-            data = _field(splittings, tag, dict, "construction.splittings")
-            _field(data, "chart_ring", list, where, str)
-            _field(data, "per_chart", list, where, str)
-            _field(data, "degree_bound", int, where)
+    construction = _field(doc, "construction", dict, "proof")
+    splittings = _field(construction, "splittings", dict, "construction")
+    for tag in _SPLITTING_TAGS:
+        where = f"construction.splittings.{tag}"
+        data = _field(splittings, tag, dict, "construction.splittings")
+        _field(data, "chart_ring", list, where, str)
+        _field(data, "per_chart", list, where, str)
+        _field(data, "degree_bound", int, where)
     return cert
 
 
@@ -360,8 +359,10 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     is derived here, not trusted: one ``generator_pullback`` per generator
     and one ``round_trip`` per ring variable on each side, none missing,
     repeated or extra.  Each side's surface equation must rebuild the
-    certified generator.  A document of the wrong shape raises
-    ``ProofFormatError`` before any arithmetic.
+    certified generator, be smooth (``SurfaceSpec.is_smooth``, no basis), and
+    give the recorded ``n``, ``variant`` and ``roots``; ``smooth`` must be
+    recorded as true.  A document of the wrong shape, ``construction``
+    missing included, raises ``ProofFormatError`` before any arithmetic.
     """
     cert = _check_proof_shape(doc)
     failures: list[str] = []
@@ -389,13 +390,22 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     presentations = {"source": source, "target": target}
     maps = {"source": forward, "target": backward}
     for side, pres in presentations.items():
-        spec = parse_surface(doc[f"{side}_surface"]["equation"])
+        surface = doc[f"{side}_surface"]
+        spec = parse_surface(surface["equation"])
         generator = pres.generators[0]
         # compare degrees first, so a hostile equation is never expanded
         if max(spec.n + 1, sum(m for _, m in spec.roots)) != generator.total_degree() or (
             ring_embed(spec.polynomial(), CYLINDER_RING) != generator
         ):
             failures.append(f"{side}_surface: equation does not match the certified generator")
+            continue
+        expected = {"n": spec.n, "variant": spec.variant.value, "smooth": True,
+                    "roots": [[fraction_str(r), m] for r, m in spec.roots]}
+        failures.extend(f"{side}_surface: {key} does not match the equation"
+                        for key, value in expected.items()
+                        if json.dumps(surface.get(key)) != json.dumps(value))
+        if not spec.is_smooth():
+            failures.append(f"{side}_surface: the equation is singular")
     # one pullback per generator (there is one on each side), one round trip per variable
     required = {("generator_pullback", side, "0") for side in presentations}
     required |= {("round_trip", side, v) for side, pres in presentations.items() for v in pres.ring}
@@ -445,9 +455,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     )):
         failures.append("certificate flags are not all true")
 
-    construction = doc.get("construction")
-    if construction:
-        failures.extend(_verify_construction(construction))
+    failures.extend(_verify_construction(doc["construction"]))
     return not failures, failures
 
 

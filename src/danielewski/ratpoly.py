@@ -319,37 +319,22 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
 
     Unassigned variables map to themselves.  The result lives in the ordered
     union of the image rings (source variables first, then new names in the
-    order they appear in each image ring).
+    order they appear in each image ring).  The expansion is the packed
+    Horner kernel of ``ideals.substitute_reduced`` with no divisors.
     """
+    from .ideals import substitute_reduced
+
     for name in assignment:
         if name not in f.ring:
             raise RingMismatchError(f"assigned variable {name!r} not in ring {f.ring}")
-    pieces: list[tuple[str, ...]] = []
-    for name in f.ring:
-        if name in assignment:
-            pieces.append(assignment[name].ring)
-        else:
-            pieces.append((name,))
-    target = ring_union(*pieces)
-    images = {}
-    for name in f.ring:
-        if name in assignment:
-            images[name] = ring_embed(assignment[name], target)
-        else:
-            images[name] = MultiPoly.var(target, name)
-    result = MultiPoly.zero(target)
-    power_cache: dict[tuple[str, int], MultiPoly] = {}
-    for exp, coeff in f.terms.items():
-        term = MultiPoly.const(target, coeff)
-        for name, e in zip(f.ring, exp):
-            if e == 0:
-                continue
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = images[name] ** e
-            term = term * power_cache[key]
-        result = result + term
-    return result
+    if not f.ring:
+        return f
+    target = ring_union(*(assignment[v].ring if v in assignment else (v,) for v in f.ring))
+    images = {
+        v: ring_embed(assignment[v], target) if v in assignment else MultiPoly.var(target, v)
+        for v in f.ring
+    }
+    return substitute_reduced(f, images, ())
 
 
 class LaurentPoly:

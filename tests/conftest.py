@@ -34,6 +34,51 @@ def naive_division(f, divisors, order="grevlex"):
     return quotients, remainder
 
 
+def substitute_oracle(f, assignment):
+    """Per-term substitution in plain ``MultiPoly`` arithmetic.
+
+    The oracle for ``ratpoly.substitute``: expands each term of ``f`` as a
+    product of cached image powers.  Unassigned variables map to themselves,
+    and the result lives in the ordered union of the image rings.
+    """
+    from danielewski.errors import RingMismatchError
+    from danielewski.ratpoly import MultiPoly, ring_embed, ring_union
+
+    for name in assignment:
+        if name not in f.ring:
+            raise RingMismatchError(f"assigned variable {name!r} not in ring {f.ring}")
+    target = ring_union(*(assignment[v].ring if v in assignment else (v,) for v in f.ring))
+    images = {
+        v: ring_embed(assignment[v], target) if v in assignment else MultiPoly.var(target, v)
+        for v in f.ring
+    }
+    result = MultiPoly.zero(target)
+    power_cache = {}
+    for exp, coeff in f.terms.items():
+        term = MultiPoly.const(target, coeff)
+        for name, e in zip(f.ring, exp):
+            if e == 0:
+                continue
+            if (name, e) not in power_cache:
+                power_cache[(name, e)] = images[name] ** e
+            term = term * power_cache[(name, e)]
+        result = result + term
+    return result
+
+
+def poly_from_roots_oracle(roots, shifted, n):
+    """``x^n z - prod (y - root)^mult [+ x]`` as a product of ``MultiPoly`` factors."""
+    from danielewski.ratpoly import MultiPoly
+
+    ring = ("x", "y", "z")
+    x, y, z = (MultiPoly.var(ring, v) for v in ring)
+    p_of_y = MultiPoly.const(ring, 1)
+    for root, mult in roots:
+        p_of_y = p_of_y * (y - MultiPoly.const(ring, root)) ** mult
+    f = x ** n * z - p_of_y
+    return f + x if shifted else f
+
+
 _results = defaultdict(lambda: {"passed": 0, "failed": 0})
 _PATTERN = re.compile(r"test_acceptance\.py::test_(c\d\d)_([A-Za-z0-9_]+?)(?:\[.*)?$")
 

@@ -151,6 +151,22 @@ def test_verify_detects_tampering(tmp_path, capsys):
     )
     assert failures == ["source_surface: equation does not match the certified generator"]
 
+    # The other surface fields must be the ones the equation gives.
+    for key, value in (("n", 7), ("roots", [["5", 1]]), ("smooth", False),
+                       ("variant", "shifted"), ("n", True)):
+        failures = refused(lambda doc: doc["source_surface"].update({key: value}),
+                           on_certificate=False)
+        assert failures == [f"source_surface: {key} does not match the equation"]
+
+    # A singular surface is refused even when its equation is the generator.
+    def singular(doc):
+        doc["source_surface"]["equation"] = "x z = (y - 1)^2"
+        doc["certificate"]["source"]["generators"] = ["x*z - y^2 + 2*y - 1"]
+
+    failures = refused(singular, on_certificate=False)
+    assert "source_surface: the equation is singular" in failures
+    assert "source_surface: roots does not match the equation" in failures
+
 
 def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
@@ -182,9 +198,12 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     def surface_without_equation(doc):
         del doc["target_surface"]["equation"]
 
+    def no_construction(doc):
+        del doc["construction"]
+
     for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
                  images_are_a_string, image_is_a_number, splitting_is_a_list,
-                 surface_without_equation):
+                 surface_without_equation, no_construction):
         doc = copy.deepcopy(original)
         edit(doc)
         bad = tmp_path / f"{edit.__name__}.json"

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import poly_from_roots_oracle
 
 from danielewski.errors import SingularInputError
 from danielewski.fibration import (
     CounterexampleCandidate,
     LineBundle,
     Variant,
+    _poly_from_roots,
     build_surface,
     classify_cancellation,
     degenerate_fibers,
@@ -34,6 +36,17 @@ def test_shifted_with_multiplicities():
     ) + poly_from_str("x", XYZ)
     assert s.defining_polynomial == expected
     assert s.smooth
+
+
+@pytest.mark.parametrize("roots, shifted, n", [
+    ([(1, 1), (-1, 1)], False, 1),  # plain
+    ([(0, 1), (2, 1), (-3, 1)], True, 3),  # shifted
+    ([(1, 3), (-2, 2)], True, 2),  # repeated roots
+    ([(Fraction(1, 2), 1), (Fraction(-3, 2), 2), (Fraction(2, 3), 1)], False, 2),  # rational
+])
+def test_poly_from_roots_matches_product_of_factors(roots, shifted, n):
+    roots = [(Fraction(r), m) for r, m in roots]
+    assert _poly_from_roots(roots, shifted, n) == poly_from_roots_oracle(roots, shifted, n)
 
 
 def test_plain_repeated_root_rejected():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import substitute_oracle
+from hypothesis import example, given, settings, strategies as st
 
 from danielewski.errors import ParseError, RingMismatchError
 from danielewski.ratpoly import (
@@ -87,6 +89,28 @@ def test_substitute_respects_composition():
         tau = {name: random_poly(rng, ring, max_degree=1, max_terms=2) for name in ring}
         composed = {name: substitute(sigma[name], tau) for name in ring}
         assert substitute(substitute(f, sigma), tau) == substitute(f, composed)
+
+
+def polys_in(ring, max_degree=2):
+    exps = st.tuples(*[st.integers(0, max_degree)] * len(ring))
+    coefficients = st.fractions(-3, 3, max_denominator=3)
+    return st.dictionaries(exps, coefficients, max_size=4).map(lambda d: MultiPoly(ring, d))
+
+
+# images in the source ring, in smaller and larger rings, in rings with new
+# names, and constants in the empty ring
+IMAGE_RINGS = [XYZ, ("y",), ("x", "t"), ("u", "z", "s"), ()]
+assignments = st.dictionaries(st.sampled_from(XYZ), st.sampled_from(IMAGE_RINGS).flatmap(polys_in))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_in(XYZ, 3), assignments)
+@example(MultiPoly.zero(XYZ), {"x": p("y")})
+@example(p("2*x*y + 3"), {})
+@example(p("x*y - z"), {"x": MultiPoly.const((), 2), "y": MultiPoly.zero(("t",))})
+@example(MultiPoly.const((), 5), {})
+def test_substitute_matches_per_term_oracle(f, assignment):
+    assert substitute(f, assignment) == substitute_oracle(f, assignment)
 
 
 def test_ring_axioms_randomized():

@@ -5,14 +5,14 @@ arithmetic.  ``reduce_full`` and ``normal_form`` must match its quotients and
 remainder term for term for any divisor list, Groebner basis or not, since
 both take the largest term first and the first divisor that applies.
 ``substitute_reduced`` reduces while it substitutes, so it must match the
-oracle's remainder of the plain substitution modulo a Groebner basis, where
-the remainder is unique.
+oracle's remainder of the per-term substitution (``substitute_oracle``)
+modulo a Groebner basis, where the remainder is unique.
 """
 
 from fractions import Fraction
 from math import comb
 
-from conftest import naive_division
+from conftest import naive_division, substitute_oracle
 from hypothesis import example, given, settings, strategies as st
 
 from danielewski import ideals
@@ -24,7 +24,7 @@ from danielewski.ideals import (
     reduce_full,
     substitute_reduced,
 )
-from danielewski.ratpoly import MultiPoly, poly_from_str, substitute
+from danielewski.ratpoly import MultiPoly, poly_from_str
 
 XYZ = ("x", "y", "z")
 HALVES = [Fraction(k, 2) for k in range(-5, 6, 2)]
@@ -63,7 +63,7 @@ generators = polys(3, 4, small_ints, min_terms=2).filter(lambda f: not f.is_cons
 
 
 def assert_matches_oracle(g, imgs, basis, order="grevlex"):
-    _, expected = naive_division(substitute(g, imgs), basis, order)
+    _, expected = naive_division(substitute_oracle(g, imgs), basis, order)
     assert substitute_reduced(g, imgs, basis, order) == expected
 
 

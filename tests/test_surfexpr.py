@@ -6,6 +6,7 @@ import pytest
 
 from danielewski.errors import ParseError, SingularInputError
 from danielewski.fibration import Variant
+from danielewski.ideals import jacobian_smooth
 from danielewski.surfexpr import parse_surface
 
 
@@ -90,3 +91,18 @@ def test_to_surface_builds_and_validates():
     assert surface.smooth
     with pytest.raises(SingularInputError):
         parse_surface("x z = y^2").to_surface()
+
+
+@pytest.mark.parametrize("text", [
+    "x z = (y - 1) (y + 1)",
+    "x^3 z = (y - 1/2) (y + 2)",
+    "x z = (y - 1)^2 (y + 1)",
+    "x^2 z = y^2",
+    "x z = (y + 1) y - x",
+    "x z = y^2 - x",
+    "x^2 z = (y - 1)^3 - x",
+    "x^3 z = (y + 1)^2 (y - 2)^2 - x",
+])
+def test_smoothness_read_off_the_roots_matches_the_jacobian_criterion(text):
+    spec = parse_surface(text)
+    assert spec.is_smooth() == jacobian_smooth(spec.polynomial())
