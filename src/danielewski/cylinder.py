@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .cech import CechClass, divide_by_power, surface_class
+from .cech import CechClass, divide_by_power, orbit_equivalent, pole_profile, surface_class
 from .errors import NoSplittingFound, NotComparable, UnsupportedError
 from .fibration import DanielewskiSurface, MultifoldCurve, relatively_connected_quotient
 from .ideals import (
@@ -80,44 +80,64 @@ def _laurent_pow(g: dict, n: int) -> dict:
     return out
 
 
-def _xl_monomial_shifted(exp: Exponent, shifts: Sequence[Optional[dict]]) -> XLTerms:
-    """Expand x^a * prod f_k^(b_k) after substituting f_k -> f_k + g_k(x).
+def _shift_expander(shifts: Sequence[Optional[dict]]):
+    """Memoized expansion of chart monomials under one transition.
 
-    ``shifts[k]`` is the Laurent term dict of g_k (or None for no shift).
+    Returns ``expand(exp)``: the terms of x^a * prod f_k^(b_k) after
+    substituting f_k -> f_k + g_k(x), where ``shifts[k]`` is the Laurent term
+    dict of g_k (or None for no shift).  The binomial-times-Laurent-power
+    factors of each (coordinate, exponent) and the expansion of each
+    monomial are built once per expander; callers must not mutate the
+    returned dicts.
     """
-    a, fibers = exp[0], exp[1:]
-    out: XLTerms = {(a, tuple(0 for _ in fibers)): Fraction(1)}
-    for k, b in enumerate(fibers):
-        if b == 0:
-            continue
-        g = shifts[k]
-        factor_terms: list[tuple[int, int, Fraction]] = []  # (fiber exp, x exp, coeff)
-        if g is None:
-            factor_terms.append((b, 0, Fraction(1)))
-        else:
-            for l in range(b + 1):
-                binomial = Fraction(comb(b, l))
-                for ge, gc in _laurent_pow(g, l).items():
-                    factor_terms.append((b - l, ge, binomial * gc))
-        nxt: XLTerms = {}
-        for (xe, fib), coeff in out.items():
-            for fexp, ge, fc in factor_terms:
-                new_fib = list(fib)
-                new_fib[k] = fexp
-                key = (xe + ge, tuple(new_fib))
-                val = nxt.get(key, Fraction(0)) + coeff * fc
-                if val:
-                    nxt[key] = val
-                else:
-                    nxt.pop(key, None)
-        out = nxt
-    return out
+    factors: dict = {}
+    expansions: dict = {}
+
+    def factor(k: int, b: int) -> list:
+        """(fiber exp, x exp, coeff) terms of (f_k + g_k)^b."""
+        if (k, b) not in factors:
+            g = shifts[k]
+            if g is None:
+                factors[(k, b)] = [(b, 0, Fraction(1))]
+            else:
+                factors[(k, b)] = [
+                    (b - l, ge, comb(b, l) * gc)
+                    for l in range(b + 1)
+                    for ge, gc in _laurent_pow(g, l).items()
+                ]
+        return factors[(k, b)]
+
+    def expand(exp: Exponent) -> XLTerms:
+        if exp in expansions:
+            return expansions[exp]
+        a, fibers = exp[0], exp[1:]
+        out: XLTerms = {(a, tuple(0 for _ in fibers)): Fraction(1)}
+        for k, b in enumerate(fibers):
+            if b == 0:
+                continue
+            nxt: XLTerms = {}
+            for (xe, fib), coeff in out.items():
+                for fexp, ge, fc in factor(k, b):
+                    new_fib = list(fib)
+                    new_fib[k] = fexp
+                    key = (xe + ge, tuple(new_fib))
+                    val = nxt.get(key, Fraction(0)) + coeff * fc
+                    if val:
+                        nxt[key] = val
+                    else:
+                        nxt.pop(key, None)
+            out = nxt
+        expansions[exp] = out
+        return out
+
+    return expand
 
 
 def _xl_substituted_poly(p: MultiPoly, shifts: Sequence[Optional[dict]]) -> XLTerms:
+    expand = _shift_expander(shifts)
     out: XLTerms = {}
     for exp, coeff in p.terms.items():
-        _xl_add_scaled(out, _xl_monomial_shifted(exp, shifts), coeff)
+        _xl_add_scaled(out, expand(exp), coeff)
     return out
 
 
@@ -203,21 +223,27 @@ def verify_global_functions(model: GluedModel) -> bool:
     return True
 
 
-def _chart_embedding(surface: DanielewskiSurface, chart: int, x: MultiPoly, v: MultiPoly) -> dict:
-    """The surface coordinates x, y, z on one chart with fiber coordinate v.
+def _chart_embedding(surface: DanielewskiSurface, chart: int, ring: tuple[str, ...]) -> dict:
+    """The surface coordinates x, y, z on one chart, as polynomials in ``ring``.
 
-    On chart i: y = y_i + x^n v and z = v * prod_{j != i}(y_i - y_j + x^n v).
-    ``x`` and ``v`` may be any polynomials of one ring, so the same formula
-    also embeds the composite maps of the cylinder construction.
+    The first two variables of ``ring`` are the base x and the chart's fiber
+    coordinate v.  On chart i: y = y_i + x^n v and
+    z = v * prod_{j != i}(y_i - y_j + x^n v), expanded as a coefficient list
+    in x^n v.  The composite maps of the cylinder construction substitute
+    their fiber coordinate for v afterwards (see ``_embedded_images``).
     """
     values = surface.root_values()
-    xn_v = x ** surface.n * v
-    y = MultiPoly.const(v.ring, values[chart]) + xn_v
-    z = v
+    n, rest = surface.n, (0,) * (len(ring) - 2)
+    factors = [Fraction(1)]  # prod_{j != i}(y_i - y_j + X), lowest power of X first
     for j, val in enumerate(values):
         if j != chart:
-            z = z * (MultiPoly.const(v.ring, values[chart] - val) + xn_v)
-    return {"x": x, "y": y, "z": z}
+            d = values[chart] - val
+            factors = [d * a + b for a, b in zip([*factors, 0], [0, *factors])]
+    return {
+        "x": MultiPoly.var(ring, ring[0]),
+        "y": MultiPoly(ring, {(0, 0, *rest): values[chart], (n, 1, *rest): 1}),
+        "z": MultiPoly(ring, {(n * k, k + 1, *rest): c for k, c in enumerate(factors)}),
+    }
 
 
 def attach_surface_functions(model: GluedModel, surface: DanielewskiSurface) -> GluedModel:
@@ -231,9 +257,8 @@ def attach_surface_functions(model: GluedModel, surface: DanielewskiSurface) -> 
         raise ValueError("expected the one-coordinate torsor model of a surface")
     if model.coordinates[0].transitions != surface_class(surface):
         raise ValueError("model transitions do not match the surface class")
-    x, v = (MultiPoly.var(model.chart_ring, name) for name in model.chart_ring)
     f = surface.defining_polynomial
-    charts = [_chart_embedding(surface, i, x, v) for i in range(model.n_charts)]
+    charts = [_chart_embedding(surface, i, model.chart_ring) for i in range(model.n_charts)]
     for i, embedding in enumerate(charts):
         # the defining equation vanishes identically on the chart
         if not substitute(f, embedding).is_zero():
@@ -293,11 +318,14 @@ def splitting_solve(
 
     The ansatz runs over all chart monomials of total degree at most the
     current bound; the overlap identities are linear in the unknown
-    coefficients and are solved exactly, raising the bound on failure.  The
-    returned splitting is the canonical solution of the reduced system (free
-    coefficients pinned to zero) and is re-verified by direct expansion.
-    Failure at every bound raises NoSplittingFound; that does not certify
-    that no splitting exists.
+    coefficients and are solved exactly by ``solve_linear``, raising the
+    bound on failure.  Each pair's transition shifts, and the expansion of
+    each monomial under them, are computed once for the whole schedule.
+    The returned splitting is the canonical solution of the system (free
+    coefficients pinned to zero, unknowns in chart-then-grevlex order, so
+    it does not depend on how the rows are eliminated) and is re-verified
+    by direct expansion.  Failure at every bound raises NoSplittingFound;
+    that does not certify that no splitting exists.
     """
     if pullback.curve != model.curve:
         raise ValueError("pullback class lives on a different curve")
@@ -308,36 +336,22 @@ def splitting_solve(
             raise ValueError("nonzero class on a single-chart model cannot split")
         return Splitting(ring, (MultiPoly.zero(ring),), 0)
     zero_fiber = tuple(0 for _ in model.coordinates)
+    pairs = model.branch_pairs()
+    expanders = {pair: _shift_expander(model.transition_shifts(*pair)) for pair in pairs}
     for bound in schedule:
         monomials = _monomials_up_to(len(ring), bound)
         unknowns = [(chart, exp) for chart in range(n_charts) for exp in monomials]
-        rows: dict[tuple, tuple[dict, Fraction]] = {}
-
-        def row_for(pair, key):
-            tag = (pair, key)
-            if tag not in rows:
-                rows[tag] = ({}, Fraction(0))
-            return tag
-
-        for pair in model.branch_pairs():
+        # one row per (pair, chart-i term): h_j shifted minus h_i equals g_ij
+        rows: dict[tuple, list] = {}
+        for pair in pairs:
             i, j = pair
-            shifts = model.transition_shifts(i, j)
             for exp in monomials:
-                expansion = _xl_monomial_shifted(exp, shifts)
-                for key, coeff in expansion.items():
-                    tag = row_for(pair, key)
-                    coeffs, rhs = rows[tag]
-                    coeffs[(j, exp)] = coeffs.get((j, exp), Fraction(0)) + coeff
-                key = (exp[0], exp[1:])
-                tag = row_for(pair, key)
-                coeffs, rhs = rows[tag]
-                coeffs[(i, exp)] = coeffs.get((i, exp), Fraction(0)) - 1
-            g = pullback.part(Fraction(0), i, j)
-            for e, coeff in g.terms.items():
-                tag = row_for(pair, (e, zero_fiber))
-                coeffs, _ = rows[tag]
-                rows[tag] = (coeffs, coeff)
-        system = [rows[tag] for tag in sorted(rows)]
+                for key, coeff in expanders[pair](exp).items():
+                    rows.setdefault((pair, key), [{}, 0])[0][(j, exp)] = coeff
+                rows.setdefault((pair, (exp[0], exp[1:])), [{}, 0])[0][(i, exp)] = -1
+            for e, coeff in pullback.part(Fraction(0), i, j).terms.items():
+                rows.setdefault((pair, (e, zero_fiber)), [{}, 0])[1] = coeff
+        system = list(rows.values())
         solution = solve_linear(system, unknowns)
         if solution is None:
             continue
@@ -430,9 +444,9 @@ def reexpress_on_cylinder(
     for _ in range(clear_power):
         terms = _divide_once_by_x(terms, p_of_y, n)
     candidate = normal_form(MultiPoly(CYLINDER_RING, terms), [f])
-    x, v, t = (MultiPoly.var(chart_ring, name) for name in chart_ring)
+    t = MultiPoly.var(chart_ring, chart_ring[2])
     for chart, expr in enumerate(chart_exprs):
-        if substitute(candidate, {**_chart_embedding(surface, chart, x, v), "w": t}) != expr:
+        if substitute(candidate, {**_chart_embedding(surface, chart, chart_ring), "w": t}) != expr:
             raise RuntimeError(f"re-expressed function disagrees on chart {chart}")
     return candidate
 
@@ -523,16 +537,22 @@ def _embedded_images(
     """Images of the target cylinder's (x, y, z, w) on the source cylinder.
 
     The composites of ``_chart_composites`` give (u, s) on each source
-    chart; ``_chart_embedding`` of the target turns u into y and z, s is w,
-    and ``reexpress_on_cylinder`` writes each image in (x, y, z, w).
+    chart.  The target's ``_chart_embedding`` on its own chart variables
+    (x, v), with v replaced by u in one ``substitute``, turns u into y and
+    z; s is w, and ``reexpress_on_cylinder`` writes each image in
+    (x, y, z, w).
     """
     us, ss = _chart_composites(splittings)
-    x = MultiPoly.var(us[0].ring, "x")
-    charts = [_chart_embedding(target, i, x, u) for i, u in enumerate(us)]
+    embeddings = [_chart_embedding(target, i, ("x", "v")) for i in range(len(us))]
+
+    def image(name: str) -> MultiPoly:
+        composed = [substitute(e[name], {"v": u}) for e, u in zip(embeddings, us)]
+        return reexpress_on_cylinder(composed, source)
+
     return {
         "x": MultiPoly.var(CYLINDER_RING, "x"),
-        "y": reexpress_on_cylinder([e["y"] for e in charts], source),
-        "z": reexpress_on_cylinder([e["z"] for e in charts], source),
+        "y": image("y"),
+        "z": image("z"),
         "w": reexpress_on_cylinder(ss, source),
     }
 
@@ -635,6 +655,16 @@ CAVEAT = (
 )
 
 
+def invariant_report(c_src: CechClass, c_tgt: CechClass) -> InvariantReport:
+    """Pole profiles of the two classes and whether they are orbit-equivalent."""
+    return InvariantReport(
+        source_profile=pole_profile(c_src),
+        target_profile=pole_profile(c_tgt),
+        orbit_equivalent=orbit_equivalent(c_src, c_tgt),
+        caveat=CAVEAT,
+    )
+
+
 def counterexample_pair(
     surface: DanielewskiSurface, schedule: Sequence[int] = DEFAULT_SCHEDULE
 ) -> CounterexamplePair:
@@ -644,7 +674,6 @@ def counterexample_pair(
     changes every pole order; the cylinders stay isomorphic by the fiber
     product trick.  Line-bundle input is refused: cancellation holds there.
     """
-    from .cech import orbit_equivalent, pole_profile
     from .fibration import LineBundle, build_surface, classify_cancellation
 
     if isinstance(classify_cancellation(surface), LineBundle):
@@ -654,12 +683,5 @@ def counterexample_pair(
         )
     partner = build_surface(surface.n + 1, surface.roots, surface.variant)
     construction = cylinder_construction(surface, partner, schedule)
-    c_src = construction.source_class
-    c_tgt = construction.target_class
-    invariants = InvariantReport(
-        source_profile=pole_profile(c_src),
-        target_profile=pole_profile(c_tgt),
-        orbit_equivalent=orbit_equivalent(c_src, c_tgt),
-        caveat=CAVEAT,
-    )
+    invariants = invariant_report(construction.source_class, construction.target_class)
     return CounterexamplePair(surface, partner, construction, invariants)

@@ -13,9 +13,17 @@ from __future__ import annotations
 import json
 
 from .cech import CechClass, equivariant_class, pic_group, surface_class
-from .cylinder import CYLINDER_RING, CounterexamplePair, CylinderConstruction, Splitting
+from .cylinder import (
+    CYLINDER_RING,
+    CounterexamplePair,
+    CylinderConstruction,
+    InvariantReport,
+    Splitting,
+    invariant_report,
+)
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
+    SURFACE_RING,
     DanielewskiSurface,
     MarkedPoint,
     MultifoldCurve,
@@ -27,11 +35,12 @@ from .fibration import (
 )
 from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, round_trip_residual
 from .ratpoly import LaurentPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute
-from .surfexpr import parse_surface
+from .surfexpr import SurfaceSpec, parse_surface
 
 REPORT_SCHEMA = "danielewski.report/1"
 PROOF_SCHEMA = "danielewski.proof/1"
 COCYCLE_SCHEMA = "danielewski.cocycle/1"
+PROOF_KINDS = ("cylinder_iso", "counterexample")
 
 
 def dumps(doc: dict) -> str:
@@ -278,18 +287,21 @@ def cylinder_proof(con: CylinderConstruction, kind: str = "cylinder_iso") -> dic
     }
 
 
+def invariants_to_json(report: InvariantReport) -> dict:
+    def profile(entries) -> list:
+        return [[fraction_str(loc), list(pair), order] for loc, pair, order in entries]
+
+    return {
+        "source_profile": profile(report.source_profile),
+        "target_profile": profile(report.target_profile),
+        "orbit_equivalent": report.orbit_equivalent,
+        "caveat": report.caveat,
+    }
+
+
 def counterexample_proof(pair: CounterexamplePair) -> dict:
     doc = cylinder_proof(pair.construction, kind="counterexample")
-    doc["invariants"] = {
-        "source_profile": [
-            [fraction_str(loc), list(p), order] for loc, p, order in pair.invariants.source_profile
-        ],
-        "target_profile": [
-            [fraction_str(loc), list(p), order] for loc, p, order in pair.invariants.target_profile
-        ],
-        "orbit_equivalent": pair.invariants.orbit_equivalent,
-        "caveat": pair.invariants.caveat,
-    }
+    doc["invariants"] = invariants_to_json(pair.invariants)
     return doc
 
 
@@ -317,6 +329,14 @@ def _check_proof_shape(doc) -> dict:
     """The certificate of a proof document, after checking every key replay reads."""
     if not isinstance(doc, dict):
         raise ProofFormatError("a proof document must be a JSON object")
+    kind = _field(doc, "kind", str, "proof")
+    if kind not in PROOF_KINDS:
+        raise ProofFormatError(f"proof.kind must be one of {PROOF_KINDS}, not {kind!r}")
+    if kind == "counterexample":
+        invariants = _field(doc, "invariants", dict, "proof")
+        for key in ("source_profile", "target_profile"):
+            _field(invariants, key, list, "proof.invariants")
+        _field(invariants, "orbit_equivalent", bool, "proof.invariants")
     for key in ("source_surface", "target_surface"):
         _field(_field(doc, key, dict, "proof"), "equation", str, f"proof.{key}")
     cert = _field(doc, "certificate", dict, "proof")
@@ -361,8 +381,11 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     repeated or extra.  Each side's surface equation must rebuild the
     certified generator, be smooth (``SurfaceSpec.is_smooth``, no basis), and
     give the recorded ``n``, ``variant`` and ``roots``; ``smooth`` must be
-    recorded as true.  A document of the wrong shape, ``construction``
-    missing included, raises ``ProofFormatError`` before any arithmetic.
+    recorded as true.  A counterexample's pole profiles and orbit verdict
+    must be the ones its two equations give (``_verify_invariants``).  A
+    document of the wrong shape raises ``ProofFormatError`` before any
+    arithmetic: a ``kind`` other than ``cylinder_iso`` or ``counterexample``,
+    a missing ``construction``, or a counterexample without ``invariants``.
     """
     cert = _check_proof_shape(doc)
     failures: list[str] = []
@@ -389,6 +412,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
 
     presentations = {"source": source, "target": target}
     maps = {"source": forward, "target": backward}
+    specs = {}
     for side, pres in presentations.items():
         surface = doc[f"{side}_surface"]
         spec = parse_surface(surface["equation"])
@@ -399,6 +423,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
         ):
             failures.append(f"{side}_surface: equation does not match the certified generator")
             continue
+        specs[side] = spec
         expected = {"n": spec.n, "variant": spec.variant.value, "smooth": True,
                     "roots": [[fraction_str(r), m] for r, m in spec.roots]}
         failures.extend(f"{side}_surface: {key} does not match the equation"
@@ -456,7 +481,38 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
         failures.append("certificate flags are not all true")
 
     failures.extend(_verify_construction(doc["construction"]))
+    if doc["kind"] == "counterexample" and len(specs) == 2:
+        failures.extend(_verify_invariants(doc["invariants"], specs["source"], specs["target"]))
     return not failures, failures
+
+
+def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec) -> list[str]:
+    """Recompute a counterexample's pole profiles and orbit verdict.
+
+    The classes come from the two surface equations, with smoothness read
+    off the roots as above, so no basis is computed.  Orbit-equivalent
+    classes are a failure even when recorded as such: the pair is then no
+    counterexample.
+    """
+    try:
+        classes = [
+            surface_class(DanielewskiSurface(
+                spec.n, spec.roots, spec.variant,
+                IdealPresentation(SURFACE_RING, [spec.polynomial()]), spec.is_smooth(),
+            ))
+            for spec in (source, target)
+        ]
+        expected = invariants_to_json(invariant_report(*classes))
+    except (UnsupportedError, ValueError) as exc:
+        return [f"invariants: not computable from the equations: {exc}"]
+    failures = [f"invariants: {key} does not match the classes of the equations"
+                for key in ("source_profile", "target_profile", "orbit_equivalent")
+                if json.dumps(recorded[key]) != json.dumps(expected[key])]
+    if expected["orbit_equivalent"]:
+        failures.append(
+            "invariants: the classes are orbit-equivalent, so the pair is no counterexample"
+        )
+    return failures
 
 
 def _verify_construction(construction: dict) -> list[str]:

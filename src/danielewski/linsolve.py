@@ -1,17 +1,25 @@
 """Exact sparse linear solving over the rationals.
 
 Systems are given as rows ``(coefficients, rhs)`` where ``coefficients`` maps
-unknown labels to nonzero ``Fraction`` entries.  Solving runs plain Gaussian
-elimination with a fixed unknown order, so the returned particular solution
-(free unknowns pinned to zero) is deterministic for a fixed input.
+unknown labels to rational entries.  Each row is put over its common
+denominator and elimination runs fraction-free on integer rows: eliminating
+an unknown from a row subtracts a multiple of the pivot row, with both
+scaled by their gcd cofactors, and divides the result by its content.
+
+Unknowns are eliminated in the given order.  The pivot row of an unknown is
+the sparsest remaining row that holds it (the first one on ties).  The row
+choice cannot change the outcome: an unknown gets a pivot exactly when its
+column is independent of the columns of the unknowns before it, so the
+pivot columns depend only on the unknown order.  With every free unknown
+pinned to zero the solution on the pivot columns is unique, and back
+substitution through the pivot rows returns it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
-
-Row = tuple[dict, Fraction]
 
 
 def solve_linear(
@@ -21,71 +29,65 @@ def solve_linear(
     """Solve ``A x = b`` exactly; return a particular solution or None.
 
     Free unknowns are set to zero.  Returns ``None`` when the system is
-    inconsistent.
+    inconsistent, and raises ``ValueError`` when a row has a nonzero entry
+    for a label outside ``unknowns``.  Rows are integer dicts keyed by column
+    index, with the right-hand side in the column after the last unknown.
     """
-    work: list[Row] = []
+    column = {u: k for k, u in enumerate(unknowns)}
+    rhs_col = len(unknowns)
+    work: list[dict] = []
     for coeffs, rhs in rows:
-        row = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-        work.append((row, Fraction(rhs)))
-
-    pivots: list[tuple[Hashable, Row]] = []
-    for unknown in unknowns:
-        pivot_idx = None
-        for idx, (row, _) in enumerate(work):
-            if unknown in row:
-                pivot_idx = idx
-                break
-        if pivot_idx is None:
-            continue
-        row, rhs = work.pop(pivot_idx)
-        scale = row[unknown]
-        row = {k: v / scale for k, v in row.items()}
-        rhs = rhs / scale
-        reduced: list[Row] = []
-        for other, other_rhs in work:
-            factor = other.get(unknown)
-            if factor:
-                new = dict(other)
-                for k, v in row.items():
-                    val = new.get(k, Fraction(0)) - factor * v
-                    if val:
-                        new[k] = val
-                    else:
-                        new.pop(k, None)
-                reduced.append((new, other_rhs - factor * rhs))
-            else:
-                reduced.append((other, other_rhs))
-        work = reduced
-        # eliminate this unknown from earlier pivot rows as well (full RREF)
-        updated: list[tuple[Hashable, Row]] = []
-        for pname, (prow, prhs) in pivots:
-            factor = prow.get(unknown)
-            if factor:
-                new = dict(prow)
-                for k, v in row.items():
-                    val = new.get(k, Fraction(0)) - factor * v
-                    if val:
-                        new[k] = val
-                    else:
-                        new.pop(k, None)
-                updated.append((pname, (new, prhs - factor * rhs)))
-            else:
-                updated.append((pname, (prow, prhs)))
-        pivots = updated
-        pivots.append((unknown, (row, rhs)))
-
-    for row, rhs in work:
-        if not row and rhs != 0:
-            return None
+        entries = {k: v for k, v in coeffs.items() if v}
+        if not entries.keys() <= column.keys():
+            undeclared = sorted(repr(k) for k in entries if k not in column)
+            raise ValueError(f"row mentions undeclared unknowns: {undeclared}")
+        rhs = Fraction(rhs)
+        den = lcm(rhs.denominator, *(v.denominator for v in entries.values()))
+        row = {column[k]: v.numerator * (den // v.denominator) for k, v in entries.items()}
+        if rhs:
+            row[rhs_col] = rhs.numerator * (den // rhs.denominator)
         if row:
-            # column outside the declared unknown list
-            raise ValueError(f"row mentions undeclared unknowns: {sorted(map(repr, row))}")
+            work.append(_primitive(row))
+    if any(row.keys() == {rhs_col} for row in work):
+        return None
 
-    solution = {u: Fraction(0) for u in unknowns}
-    for unknown, (row, rhs) in pivots:
-        value = rhs
-        for k, v in row.items():
-            if k != unknown:
-                value -= v * solution[k]
-        solution[unknown] = value
-    return solution
+    pivots: list[tuple[int, dict]] = []
+    for k in range(rhs_col):
+        holders = [row for row in work if k in row]
+        if not holders:
+            continue
+        pivot = min(holders, key=len)
+        p = pivot[k]
+        work = [row for row in work if k not in row]
+        for row in holders:
+            if row is pivot:
+                continue
+            r = row[k]
+            g = gcd(p, r)
+            a, b = p // g, r // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                val = new.get(c, 0) - b * v
+                if val:
+                    new[c] = val
+                else:
+                    del new[c]
+            if new.keys() == {rhs_col}:
+                return None
+            if new:
+                work.append(_primitive(new))
+        pivots.append((k, pivot))
+
+    values: dict[int, Fraction] = {}
+    for k, row in reversed(pivots):
+        acc = Fraction(row.get(rhs_col, 0))
+        for c, v in row.items():
+            if c in values:
+                acc -= v * values[c]
+        values[k] = acc / row[k]
+    return {u: values.get(k, Fraction(0)) for u, k in column.items()}
+
+
+def _primitive(row: dict) -> dict:
+    content = gcd(*row.values())
+    return row if content == 1 else {c: v // content for c, v in row.items()}

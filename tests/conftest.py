@@ -66,6 +66,59 @@ def substitute_oracle(f, assignment):
     return result
 
 
+def solve_linear_oracle(rows, unknowns):
+    """Full Gauss-Jordan elimination over ``Fraction``; the oracle for ``solve_linear``.
+
+    Unknowns are taken in the given order, each pivoting on the first
+    remaining row that holds it, and eliminated from every other row, earlier
+    pivot rows included.  Returns the solution with free unknowns pinned to
+    zero, or None for an inconsistent system.
+    """
+    from fractions import Fraction
+
+    work = []
+    for coeffs, rhs in rows:
+        row = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        work.append((row, Fraction(rhs)))
+
+    def eliminate(other, other_rhs, row, rhs, unknown):
+        factor = other.get(unknown)
+        if not factor:
+            return other, other_rhs
+        new = dict(other)
+        for k, v in row.items():
+            val = new.get(k, Fraction(0)) - factor * v
+            if val:
+                new[k] = val
+            else:
+                new.pop(k, None)
+        return new, other_rhs - factor * rhs
+
+    pivots = []
+    for unknown in unknowns:
+        pivot_idx = next((idx for idx, (row, _) in enumerate(work) if unknown in row), None)
+        if pivot_idx is None:
+            continue
+        row, rhs = work.pop(pivot_idx)
+        scale = row[unknown]
+        row = {k: v / scale for k, v in row.items()}
+        rhs = rhs / scale
+        work = [eliminate(other, other_rhs, row, rhs, unknown) for other, other_rhs in work]
+        pivots = [(name, eliminate(prow, prhs, row, rhs, unknown)) for name, (prow, prhs) in pivots]
+        pivots.append((unknown, (row, rhs)))
+
+    for row, rhs in work:
+        if not row and rhs != 0:
+            return None
+        if row:
+            raise ValueError(f"row mentions undeclared unknowns: {sorted(map(repr, row))}")
+
+    solution = {u: Fraction(0) for u in unknowns}
+    for unknown, (row, rhs) in pivots:
+        solution[unknown] = rhs - sum(v * solution[k] for k, v in row.items() if k != unknown)
+    return solution
+
+
 def poly_from_roots_oracle(roots, shifted, n):
     """``x^n z - prod (y - root)^mult [+ x]`` as a product of ``MultiPoly`` factors."""
     from danielewski.ratpoly import MultiPoly

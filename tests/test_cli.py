@@ -167,6 +167,35 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert "source_surface: the equation is singular" in failures
     assert "source_surface: roots does not match the equation" in failures
 
+    # A counterexample's invariants must be the ones its equations give.
+    run(capsys, "counterexample", "x z = (y - 1) (y + 1)", "--out", str(proof_path))
+    original = json.loads(proof_path.read_text())
+    failures = refused(lambda doc: doc["invariants"].update(orbit_equivalent=True),
+                       on_certificate=False)
+    assert failures == ["invariants: orbit_equivalent does not match the classes of the equations"]
+    failures = refused(lambda doc: doc["invariants"].update(source_profile=[["9", [0, 1], 5]]),
+                       on_certificate=False)
+    assert failures == ["invariants: source_profile does not match the classes of the equations"]
+    bad = tmp_path / "no_invariants.json"
+    bad.write_text(json.dumps({k: v for k, v in original.items() if k != "invariants"}))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (2, "") and "invariants" in err
+
+    # Orbit-equivalent classes make no counterexample, however they are recorded.
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
+    original = json.loads(proof_path.read_text())
+
+    def claimed_counterexample(doc):
+        doc["kind"] = "counterexample"
+        doc["invariants"] = {"source_profile": [["0", [0, 1], 1]],
+                             "target_profile": [["0", [0, 1], 1]], "orbit_equivalent": True}
+
+    failures = refused(claimed_counterexample, on_certificate=False)
+    assert failures == [
+        "invariants: the classes are orbit-equivalent, so the pair is no counterexample"
+    ]
+
 
 def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
@@ -201,9 +230,19 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     def no_construction(doc):
         del doc["construction"]
 
+    def unknown_kind(doc):
+        doc["kind"] = "anything at all"
+
+    def no_kind(doc):
+        del doc["kind"]
+
+    def counterexample_without_invariants(doc):
+        doc["kind"] = "counterexample"
+
     for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
                  images_are_a_string, image_is_a_number, splitting_is_a_list,
-                 surface_without_equation, no_construction):
+                 surface_without_equation, no_construction, unknown_kind, no_kind,
+                 counterexample_without_invariants):
         doc = copy.deepcopy(original)
         edit(doc)
         bad = tmp_path / f"{edit.__name__}.json"

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from conftest import solve_linear_oracle
 
+from danielewski import cylinder
 from danielewski.cech import class_normal_form, divide_by_power, surface_class, zero_class
 from danielewski.cylinder import (
     CYLINDER_RING,
@@ -174,6 +176,46 @@ def test_split_triple_origin():
     pullback = divide_by_power(c, 1)
     splitting = splitting_solve(model, pullback)
     assert verify_splitting(model, pullback, splitting)
+
+
+# The fraction-free solver against the Gauss-Jordan oracle: the pinned
+# solution, and so the splitting, cannot depend on how rows are eliminated.
+ORACLE_ROOTS = {
+    2: (Fraction(1, 2), Fraction(-3, 2)),
+    3: (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)),
+    4: (0, 1, Fraction(-1, 2), 3),
+}
+
+
+def splitting_or_refusal(model, pullback):
+    try:
+        return splitting_solve(model, pullback)
+    except NoSplittingFound as exc:
+        return exc.bounds
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", sorted(ORACLE_ROOTS))
+def test_splitting_matches_the_oracle_solver(r, n, power, monkeypatch):
+    c = surface_class(build_surface(n, [(root, 1) for root in ORACLE_ROOTS[r]], Variant.PLAIN))
+    c_aux = divide_by_power(c, power)
+    problems = [(torsor_to_glued(c, "v"), c_aux), (torsor_to_glued(c_aux, "w"), c)]
+    found = [splitting_or_refusal(*problem) for problem in problems]
+    monkeypatch.setattr(cylinder, "solve_linear", solve_linear_oracle)
+    assert [splitting_or_refusal(*problem) for problem in problems] == found
+
+
+@pytest.mark.parametrize("depths", [(2, 3), (1, 3)])
+def test_three_root_refusal_matches_the_oracle_solver(depths, monkeypatch):
+    roots = [(0, 1), (1, 1), (2, 1)]
+    pair = [build_surface(n, roots, Variant.PLAIN) for n in depths]
+    with pytest.raises(NoSplittingFound) as fast:
+        cylinder_construction(*pair)
+    monkeypatch.setattr(cylinder, "solve_linear", solve_linear_oracle)
+    with pytest.raises(NoSplittingFound) as oracle:
+        cylinder_construction(*pair)
+    assert str(oracle.value) == str(fast.value)
 
 
 # -- re-expression ------------------------------------------------------------
