@@ -9,11 +9,16 @@ Exit codes: 0 success, 1 mathematical negative (failed verification,
 inequivalent classes, singular input, refused construction), 2 usage or
 syntax errors.  Output is deterministic: identical inputs produce
 byte-identical reports.
+
+``main`` parses with one parser per process, built by ``build_parser`` on
+the first call, so repeated in-process calls do not rebuild the argparse
+tree; ``build_parser`` itself returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -214,9 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -426,13 +426,17 @@ def reexpress_on_cylinder(
     y0 = surface.root_values()[0]
     v_degree = max(0, base.degree_in(chart_ring[1]))
     clear_power = n * v_degree
-    # substitute v -> (y - y0), padding with x^(clear_power - n*b) per term
+    # substitute v -> (y - y0), padding with x^(clear_power - n*b) per term;
+    # rows[b][k] is the coefficient comb(b, k) * (-y0)^(b - k) of y^k in (y - y0)^b
+    powers = [Fraction(1)]
+    for _ in range(v_degree):
+        powers.append(powers[-1] * -y0)
+    rows = [[comb(b, k) * powers[b - k] for k in range(b + 1)] for b in range(v_degree + 1)]
     terms: dict = {}
     for exp, coeff in base.terms.items():
         a, b, c = exp
         pad = clear_power - n * b
-        for k in range(b + 1):
-            binom = Fraction(comb(b, k)) * (-y0) ** (b - k)
+        for k, binom in enumerate(rows[b]):
             key = (a + pad, k, 0, c)
             val = terms.get(key, Fraction(0)) + coeff * binom
             if val:

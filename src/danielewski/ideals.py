@@ -9,10 +9,11 @@ Every multivariate division runs through one routine, ``_PackedDivision``:
 the heap division of Monagan and Pearce on packed-int monomials, largest term
 first, first divisor whose leading term divides it, with integer
 coefficients over one denominator and a pseudo-step where a leading
-coefficient does not divide.  ``reduce_full`` and ``normal_form``, the
-S-polynomial and tail reductions of Buchberger's algorithm, and the Horner
-kernel of ``substitute_reduced`` all use it.  That kernel with no divisors
-is also the plain ``ratpoly.substitute``.
+coefficient does not divide.  ``reduce_full``, ``normal_form`` and the
+Horner kernel of ``substitute_reduced`` all use it; that kernel with no
+divisors is also the plain ``ratpoly.substitute``.  Buchberger's algorithm
+runs on it too: one packed object per run holds the growing basis, each
+element encoded once, and forms and reduces every S-polynomial on packed keys.
 
 A round trip of an isomorphism certificate (``round_trip_residual``) on a
 principal ideal divides by its one generator f, which is a Groebner basis
@@ -92,7 +93,7 @@ class _PackedDivision:
     primitive integer multiple with positive leading coefficient.
     """
 
-    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly]):
+    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly] = ()):
         top, mask = (1 << (width - 1)) - 1, (1 << width) - 1
         self.guard = sum(1 << (width * i + width - 1) for i in range(n))
         if order == "grevlex":
@@ -109,17 +110,23 @@ class _PackedDivision:
         self.scales: list[Fraction] = []  # divisor i times scales[i] is the stored multiple
         for i, p in enumerate(divisors):
             terms, den = self.encode(p)
-            lead = max(terms)
-            content = 0
-            for c in terms.values():
-                content = gcd(content, c)
-            if terms[lead] < 0:
-                content = -content
-            stored = {k - self.one: c // content for k, c in terms.items()}
-            lead -= self.one
-            tail = [(k, -c) for k, c in stored.items() if k != lead]
-            self.divisors.append((lead, stored[lead], tail, i))
+            entry, content = self.entry(terms, i)
+            self.divisors.append(entry)
             self.scales.append(Fraction(den, content))
+
+    def entry(self, terms: dict, index: int) -> tuple[tuple, int]:
+        """The divisor entry at ``index`` of the nonzero integer ``terms``: its
+        primitive multiple with positive leading coefficient.  Returns the
+        entry and the signed content divided out."""
+        lead = max(terms)
+        content = 0
+        for c in terms.values():
+            content = gcd(content, c)
+        if terms[lead] < 0:
+            content = -content
+        stored = {k - self.one: c // content for k, c in terms.items()}
+        lead -= self.one
+        return (lead, stored[lead], [(k, -c) for k, c in stored.items() if k != lead], index), content
 
     def key(self, exp: Exponent) -> int:  # callers size the width to fit exp
         return self.one + sum(map(operator.mul, exp, self.weights))
@@ -274,32 +281,6 @@ class GroebnerBasis:
         return True
 
 
-def _s_poly_parts(fi, fj, order):
-    (ei, ci) = leading_term(fi, order)
-    (ej, cj) = leading_term(fj, order)
-    lcm = _lcm(ei, ej)
-    mi = MultiPoly.monomial(fi.ring, _quotient(lcm, ei), Fraction(1) / ci)
-    mj = MultiPoly.monomial(fj.ring, _quotient(lcm, ej), Fraction(1) / cj)
-    return mi, mj, lcm
-
-
-def _content_scale(poly: MultiPoly) -> Fraction:
-    """Scale factor making the coefficients coprime integers.
-
-    Rescaling basis elements does not change the ideal and keeps the rational
-    arithmetic in Buchberger from blowing up Euclid-style.
-    """
-    nums = [abs(c.numerator) for c in poly.terms.values()]
-    dens = [c.denominator for c in poly.terms.values()]
-    num_gcd = 0
-    for a in nums:
-        num_gcd = gcd(num_gcd, a)
-    den_lcm = 1
-    for b in dens:
-        den_lcm = lcm(den_lcm, b)
-    return Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
-
-
 def _gm_update(pairs: set, lts: list[Exponent], t: int) -> set:
     """Gebauer-Moller pair update when element ``t`` joins the basis.
 
@@ -335,98 +316,117 @@ def _gm_update(pairs: set, lts: list[Exponent], t: int) -> set:
     return kept_old
 
 
-def _buchberger(gens: Sequence[MultiPoly], order: str, ring: tuple[str, ...], trace: bool):
-    """Buchberger's algorithm with Gebauer-Moller pair elimination.
+def _buchberger(packed: _PackedDivision, gens: Sequence[MultiPoly], ring, trace: bool):
+    """Buchberger's algorithm with Gebauer-Moller pair elimination, packed.
 
-    Returns ``(basis, traces)``; each trace is the cofactor vector of the
-    basis element over the original generators (``None`` entries when tracing
-    is disabled).  S-polynomials are reduced by the packed division, which
-    records quotients only when traces are requested.
+    The basis lives in ``packed.divisors``: each element is encoded once, as
+    its primitive integer multiple.  The S-polynomial of elements i and j
+    with leading terms ``c_i x^e_i``, ``c_j x^e_j`` and ``g = gcd(c_i, c_j)``
+    is ``(c_j/g) x^(l-e_i) f_i - (c_i/g) x^(l-e_j) f_j`` (l the lcm of the
+    leading exponents), formed on packed keys without the leading terms and
+    reduced by ``packed.reduce``.  A nonzero constant remainder means the
+    ideal is (1) and ends the run.  Returns ``(lts, traces)``: the leading
+    exponents and, when tracing, each element's cofactor vector over
+    ``gens`` (else ``None``), built from the recorded quotients.
     """
-    key = ORDER_KEYS[order]
-    basis: list[MultiPoly] = []
-    traces: list = []
+    one, guard, divisors = packed.one, packed.guard, packed.divisors
     lts: list[Exponent] = []
-    n_gens = len(gens)
-
-    def unit_vector(k: int) -> list[MultiPoly]:
-        return [
-            MultiPoly.const(ring, 1) if i == k else MultiPoly.zero(ring)
-            for i in range(n_gens)
-        ]
-
+    traces: list = []
     pairs: set[tuple[int, int]] = set()
 
-    def add_element(poly: MultiPoly, vec):
+    def add(terms: dict, den: int, vec) -> bool:
+        """Append an element; True when it is a constant."""
         nonlocal pairs
-        scale = _content_scale(poly)
-        poly = poly * scale
-        basis.append(poly)
-        traces.append([v * scale for v in vec] if trace else None)
-        lts.append(leading_term(poly, order)[0])
-        pairs = _gm_update(pairs, lts, len(basis) - 1)
+        entry, content = packed.entry(terms, len(divisors))
+        divisors.append(entry)
+        traces.append([v * Fraction(den, content) for v in vec] if trace else None)
+        lts.append(packed.exponent(entry[0] + one))
+        pairs = _gm_update(pairs, lts, len(lts) - 1)
+        return entry[0] == 0
 
     for k, g in enumerate(gens):
-        if not g.is_zero():
-            add_element(g, unit_vector(k) if trace else None)
+        unit = [MultiPoly.const(ring, int(i == k)) for i in range(len(gens))] if trace else None
+        if add(*packed.encode(g), unit):
+            return lts, traces
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (key(_lcm(lts[p[0]], lts[p[1]])), p))
+        i, j = min(pairs, key=lambda p: (packed.key(_lcm(lts[p[0]], lts[p[1]])), p))
         pairs.discard((i, j))
-        mi, mj, _ = _s_poly_parts(basis[i], basis[j], order)
-        s_poly = mi * basis[i] - mj * basis[j]
-        quots, remainder = _divide(s_poly, basis, order, trace)
-        if remainder.is_zero():
+        (lead_i, c_i, tail_i, _), (lead_j, c_j, tail_j, _) = divisors[i], divisors[j]
+        lcm_exp = _lcm(lts[i], lts[j])
+        lcm_key, g = packed.key(lcm_exp), gcd(c_i, c_j)
+        m_i, m_j = c_j // g, c_i // g
+        terms: dict = {}
+        for q, m, tail in ((lcm_key - lead_i, -m_i, tail_i), (lcm_key - lead_j, m_j, tail_j)):
+            for k, c in tail:  # tails hold negated coefficients
+                s = q + k
+                if s & guard:
+                    raise _FieldOverflow
+                if v := terms.get(s, 0) + m * c:
+                    terms[s] = v
+                else:
+                    del terms[s]
+        quotients = [{} for _ in divisors] if trace else None
+        terms, den = packed.reduce(terms, 1, quotients)
+        if not terms:
             continue
         vec = None
         if trace:
-            vec = [mi * a - mj * b for a, b in zip(traces[i], traces[j])]
-            for t, qd in enumerate(quots):
-                if qd:
-                    q = MultiPoly(ring, qd)
-                    vec = [a - q * b for a, b in zip(vec, traces[t])]
-        add_element(remainder, vec)
+            mono_i = MultiPoly.monomial(ring, _quotient(lcm_exp, lts[i]), m_i)
+            mono_j = MultiPoly.monomial(ring, _quotient(lcm_exp, lts[j]), m_j)
+            vec = _minus_quotients(
+                packed, ring, [mono_i * a - mono_j * b for a, b in zip(traces[i], traces[j])],
+                quotients, traces,
+            )
+        if add(terms, den, vec):
+            break
+    return lts, traces
 
-    return basis, traces
+
+def _minus_quotients(packed: _PackedDivision, ring, vec: list, quotients: list, vecs) -> list:
+    """``vec - sum_t q_t * vecs[t]`` for the quotients recorded by ``packed.reduce``."""
+    for qd, other in zip(quotients, vecs):
+        if qd:
+            q = MultiPoly(ring, {packed.exponent(k): Fraction(c, d) for k, (c, d) in qd.items()})
+            vec = [a - q * b for a, b in zip(vec, other)]
+    return vec
 
 
 def _reduced_basis(gens, order, ring, trace: bool):
-    basis, traces = _buchberger(gens, order, ring, trace)
-    if not basis:
-        return [], []
-    key = ORDER_KEYS[order]
-    indices = sorted(range(len(basis)), key=lambda i: key(leading_term(basis[i], order)[0]))
-    kept: list[int] = []
-    for i in indices:
-        lexp = leading_term(basis[i], order)[0]
-        if not any(_divides(leading_term(basis[k], order)[0], lexp) for k in kept):
-            kept.append(i)
-    polys = [basis[i] for i in kept]
-    vecs = [list(traces[i]) if trace else None for i in kept]
-    # Tail-reduce every element against the others; leading terms are already
-    # pairwise non-divisible, so one full-reduction pass yields the reduced basis.
-    for idx in range(len(polys)):
-        others = [polys[k] for k in range(len(polys)) if k != idx]
-        quots, remainder = _divide(polys[idx], others, order, trace)
-        if trace:
-            other_vecs = [vecs[k] for k in range(len(polys)) if k != idx]
-            vec = vecs[idx]
-            for t, qd in enumerate(quots):
-                if qd:
-                    q = MultiPoly(remainder.ring, qd)
-                    vec = [a - q * b for a, b in zip(vec, other_vecs[t])]
-            vecs[idx] = vec
-        polys[idx] = remainder
-    for idx in range(len(polys)):
-        _, lcoeff = leading_term(polys[idx], order)
-        inv = Fraction(1) / lcoeff
-        polys[idx] = polys[idx] * inv
-        if trace:
-            vecs[idx] = [v * inv for v in vecs[idx]]
-    final = sorted(
-        range(len(polys)), key=lambda i: key(leading_term(polys[i], order)[0]), reverse=True
-    )
-    return [polys[i] for i in final], [vecs[i] for i in final]
+    """Reduced basis and, when tracing, cofactor vectors, on one packed object.
+
+    Buchberger runs at the narrowest width that holds the generators and
+    restarts at double width on any overflow.  The minimal basis (smallest
+    leading terms first) becomes the divisor list; each element's tail is
+    reduced by it in that order, and the result is decoded monic.
+    """
+
+    def run(width: int):
+        packed = _PackedDivision(len(ring), order, width)
+        lts, traces = _buchberger(packed, gens, ring, trace)
+        elements, one = packed.divisors, packed.one
+        kept: list[int] = []
+        for i in sorted(range(len(elements)), key=lambda i: elements[i][0]):
+            if not any(_divides(lts[k], lts[i]) for k in kept):
+                kept.append(i)
+        packed.divisors = [elements[i][:3] + (pos,) for pos, i in enumerate(kept)]
+        vecs, polys, monic = [traces[i] for i in kept], [], []
+        # Leading terms are pairwise non-divisible and no tail term is divisible
+        # by its own element's leading term, so one pass over the tails yields
+        # the reduced basis.
+        for idx, (lead, lc, tail, _) in enumerate(packed.divisors):
+            quotients = [{} for _ in kept] if trace else None
+            terms, den = packed.reduce({k + one: -c for k, c in tail}, 1, quotients)
+            terms[lead + one] = lc * den
+            packed.divisors[idx], content = packed.entry(terms, idx)
+            polys.append(packed.decode(ring, terms, lc * den))
+            if trace:
+                vec = _minus_quotients(packed, ring, vecs[idx], quotients, vecs)
+                vecs[idx] = [v * Fraction(den, content) for v in vec]
+                monic.append([v * Fraction(1, lc) for v in vec])
+        return polys[::-1], monic[::-1]
+
+    return _at_fitting_width(max([1] + [g.total_degree() for g in gens]), run)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,15 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from danielewski.cli import main
+import pytest
+
+import danielewski
+from danielewski.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -343,3 +350,36 @@ def test_cylinder_not_comparable(capsys):
 def test_missing_proof_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/proof.json")
     assert code == 2
+
+
+def _fresh(argv):
+    """``(exit code, stdout, stderr)`` of one call in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(danielewski.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "danielewski", *argv], capture_output=True,
+                          text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("calls", [
+    [["cocycle", "push", "--branches", "3", "2*x^-4", "x"], ["cocycle", "push", "2*x^-4", "x"]],
+    [["counterexample", "--degree-bound", "2", "x z = y (y - 1) (y - 2)"],
+     ["counterexample", "x z = y (y - 1) (y - 2)"]],
+    [["analyze", "x z = y", "--no-such-flag"], ["analyze", "x z = (y - 1) (y + 1)"]],
+])
+def test_reused_parser_matches_a_fresh_interpreter(capsys, calls):
+    results = [_in_process(capsys, argv) for argv in calls]
+    assert results == [_fresh(argv) for argv in calls]
+    assert results[0] != results[1]
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
