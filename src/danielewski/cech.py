@@ -327,6 +327,11 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def _part_exponents(c: CechClass) -> list:
+    """Sorted multiset of the exponent sets of the stored parts."""
+    return sorted(tuple(sorted(g.terms)) for g in c.parts.values())
+
+
 def orbit_equivalent(c1: CechClass, c2: CechClass) -> bool:
     """Equivalence modulo branch permutations, scalings x -> lambda*x fixing the
     marked point, and projectivization (global rescaling of the class).
@@ -346,6 +351,9 @@ def orbit_equivalent(c1: CechClass, c2: CechClass) -> bool:
         raise UnsupportedError("orbit equivalence is implemented at location 0 only")
     if c1.is_zero() or c2.is_zero():
         return c1.is_zero() and c2.is_zero()
+    # the exponent sets of the parts are invariant under the whole group
+    if _part_exponents(c1) != _part_exponents(c2):
+        return False
     r = len(point.branches)
     for sigma in itertools.permutations(range(r)):
         moved = transform_class(c1, permutation=sigma)

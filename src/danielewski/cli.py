@@ -58,7 +58,7 @@ def _schedule(degree_bound: int | None):
         return DEFAULT_SCHEDULE
     if degree_bound < 1:
         raise ParseError("degree bound must be positive", 0)
-    return tuple(b for b in range(2, degree_bound + 1, 2)) or (degree_bound,)
+    return tuple(range(2, degree_bound, 2)) + (degree_bound,)
 
 
 def _parse_class(text: str, branches: int):
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="emit a non-cancellation partner and proof")
     p.add_argument("equation")
     p.add_argument("--out", help="write the proof object to a file")
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--degree-bound", type=int, default=None, help="cap the splitting degree schedule")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("verify", help="replay a proof object without re-deriving it")

@@ -12,11 +12,15 @@ ideal membership, and every splitting is re-verified by direct expansion.
 
 Chart conventions: over the line with r origins every glued object carries
 one chart per branch with local ring Q[x, <fiber coordinates>]; the pair
-(i, j) transition adds the class part g_ij to each fiber coordinate.  One
-helper, ``_chart_embedding``, writes a surface's y and z on a chart; it
-serves the global functions of a surface model, the re-expression check and
-the images of the maps.  The construction is symmetric in the two surfaces,
-so the backward map is the forward recipe run with the surfaces swapped.
+(i, j) transition adds the class part g_ij, a pure principal part of pole
+order k, to each fiber coordinate.  Clearing that pole, x^k f_j =
+x^k f_i + x^k g_ij is a polynomial, so a chart polynomial is written on
+another chart by one ``substitute`` of its x-padded copy (see ``_across``),
+and the re-expression on the cylinder is one ``substitute`` too.  One helper, ``_chart_embedding``, writes a surface's y
+and z on a chart; it serves the global functions of a surface model, the
+re-expression check and the images of the maps.  The construction is
+symmetric in the two surfaces, so the backward map is the forward recipe
+run with the surfaces swapped.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional, Sequence
 
 from .cech import CechClass, divide_by_power, orbit_equivalent, pole_profile, surface_class
@@ -44,101 +47,6 @@ from .ratpoly import Exponent, MultiPoly, grevlex_key, ring_embed, substitute
 
 DEFAULT_SCHEDULE = (2, 4, 6, 8)
 CYLINDER_RING = ("x", "y", "z", "w")
-
-
-# -- Laurent-in-x with polynomial fiber coordinates ----------------------
-
-# keys are (x exponent, fiber exponent tuple); values are rationals
-XLTerms = dict
-
-
-def _xl_from_poly(p: MultiPoly) -> XLTerms:
-    """Reinterpret a chart polynomial; the first ring variable is the base."""
-    out: XLTerms = {}
-    for exp, coeff in p.terms.items():
-        out[(exp[0], exp[1:])] = coeff
-    return out
-
-
-def _xl_add_scaled(acc: XLTerms, other: XLTerms, scale: Fraction) -> None:
-    for key, coeff in other.items():
-        val = acc.get(key, Fraction(0)) + scale * coeff
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
-
-
-def _laurent_pow(g: dict, n: int) -> dict:
-    out = {0: Fraction(1)}
-    for _ in range(n):
-        nxt: dict = {}
-        for e1, c1 in out.items():
-            for e2, c2 in g.items():
-                nxt[e1 + e2] = nxt.get(e1 + e2, Fraction(0)) + c1 * c2
-        out = {e: c for e, c in nxt.items() if c}
-    return out
-
-
-def _shift_expander(shifts: Sequence[Optional[dict]]):
-    """Memoized expansion of chart monomials under one transition.
-
-    Returns ``expand(exp)``: the terms of x^a * prod f_k^(b_k) after
-    substituting f_k -> f_k + g_k(x), where ``shifts[k]`` is the Laurent term
-    dict of g_k (or None for no shift).  The binomial-times-Laurent-power
-    factors of each (coordinate, exponent) and the expansion of each
-    monomial are built once per expander; callers must not mutate the
-    returned dicts.
-    """
-    factors: dict = {}
-    expansions: dict = {}
-
-    def factor(k: int, b: int) -> list:
-        """(fiber exp, x exp, coeff) terms of (f_k + g_k)^b."""
-        if (k, b) not in factors:
-            g = shifts[k]
-            if g is None:
-                factors[(k, b)] = [(b, 0, Fraction(1))]
-            else:
-                factors[(k, b)] = [
-                    (b - l, ge, comb(b, l) * gc)
-                    for l in range(b + 1)
-                    for ge, gc in _laurent_pow(g, l).items()
-                ]
-        return factors[(k, b)]
-
-    def expand(exp: Exponent) -> XLTerms:
-        if exp in expansions:
-            return expansions[exp]
-        a, fibers = exp[0], exp[1:]
-        out: XLTerms = {(a, tuple(0 for _ in fibers)): Fraction(1)}
-        for k, b in enumerate(fibers):
-            if b == 0:
-                continue
-            nxt: XLTerms = {}
-            for (xe, fib), coeff in out.items():
-                for fexp, ge, fc in factor(k, b):
-                    new_fib = list(fib)
-                    new_fib[k] = fexp
-                    key = (xe + ge, tuple(new_fib))
-                    val = nxt.get(key, Fraction(0)) + coeff * fc
-                    if val:
-                        nxt[key] = val
-                    else:
-                        nxt.pop(key, None)
-            out = nxt
-        expansions[exp] = out
-        return out
-
-    return expand
-
-
-def _xl_substituted_poly(p: MultiPoly, shifts: Sequence[Optional[dict]]) -> XLTerms:
-    expand = _shift_expander(shifts)
-    out: XLTerms = {}
-    for exp, coeff in p.terms.items():
-        _xl_add_scaled(out, expand(exp), coeff)
-    return out
 
 
 # -- glued models ---------------------------------------------------------
@@ -189,6 +97,49 @@ class GluedModel:
         return list(itertools.combinations(range(self.n_charts), 2))
 
 
+def _cleared_transition(model: GluedModel, i: int, j: int, ring: tuple[str, ...]):
+    """The (i, j) transition with its poles cleared, on the chart ring ``ring``.
+
+    Fiber coordinate k satisfies f_j = f_i + g_k with g_k a pure principal
+    part of pole order p_k, so x^p_k f_j = x^p_k f_i + x^p_k g_k is a
+    polynomial.  Returns the orders p_k and these images of the f_k, which
+    ``_across`` substitutes into an x-padded chart-j polynomial.
+    """
+    zero_fiber = (0,) * (len(ring) - 1)
+    poles, images = [], {}
+    for name, g in zip(ring[1:], model.transition_shifts(i, j)):
+        pole = -min(g) if g else 0
+        poles.append(pole)
+        if g:
+            unit = tuple(int(v == name) for v in ring[1:])
+            cleared = {(e + pole, *zero_fiber): c for e, c in g.items()}
+            images[name] = MultiPoly(ring, {(pole, *unit): 1, **cleared})
+    return poles, images
+
+
+def _clearance(p: MultiPoly, weights: Sequence[int]) -> int:
+    """The largest sum_k weights_k * b_k over the terms x^a f^b of ``p``."""
+    return max((sum(w * b for w, b in zip(weights, exp[1:])) for exp in p.terms), default=0)
+
+
+def _pad_x(p: MultiPoly, weights: Sequence[int], clear: int) -> MultiPoly:
+    """Each term x^a f^b of ``p`` times x^(clear - sum_k weights_k * b_k)."""
+    return MultiPoly(p.ring, {
+        (exp[0] + clear - sum(w * b for w, b in zip(weights, exp[1:])), *exp[1:]): c
+        for exp, c in p.terms.items()
+    })
+
+
+def _across(model: GluedModel, h: MultiPoly, i: int, j: int, floor: int = 0):
+    """(N, x^N h(x, f_i + g_ij)) for a chart-j polynomial h written on chart i.
+
+    N is the least power of x, and at least ``floor``, that clears every pole.
+    """
+    poles, images = _cleared_transition(model, i, j, h.ring)
+    clear = max(_clearance(h, poles), floor)
+    return clear, substitute(_pad_x(h, poles, clear), images)
+
+
 def _require_cylinder_curve(curve: MultifoldCurve) -> None:
     if not curve.is_scheme():
         raise UnsupportedError("chart models need reduced branches (scheme case)")
@@ -215,10 +166,8 @@ def verify_global_functions(model: GluedModel) -> bool:
     """Exact transition agreement of every named global function."""
     for _, charts in model.global_functions:
         for i, j in model.branch_pairs():
-            shifts = model.transition_shifts(i, j)
-            lhs = _xl_substituted_poly(charts[j], shifts)
-            rhs = _xl_from_poly(charts[i])
-            if lhs != rhs:
+            clear, on_i = _across(model, charts[j], i, j)
+            if on_i != _pad_x(charts[i], (), clear):
                 return False
     return True
 
@@ -296,15 +245,20 @@ def _monomials_up_to(ring_size: int, bound: int) -> list[Exponent]:
 
 
 def verify_splitting(model: GluedModel, pullback: CechClass, splitting: Splitting) -> bool:
-    """Independent re-check of the defining identity by direct expansion."""
+    """Independent re-check of the defining identity by direct expansion.
+
+    Both sides of h_j(x, f_i + g) - h_i = g_ij are multiplied by one power
+    of x that clears every pole and compared as polynomials.
+    """
     for i, j in model.branch_pairs():
-        shifts = model.transition_shifts(i, j)
-        lhs = _xl_substituted_poly(splitting.per_chart[j], shifts)
-        _xl_add_scaled(lhs, _xl_from_poly(splitting.per_chart[i]), Fraction(-1))
+        h_i = splitting.per_chart[i]
         g = pullback.part(Fraction(0), i, j)
-        zero_fiber = tuple(0 for _ in model.coordinates)
-        expected = {(e, zero_fiber): c for e, c in g.terms.items()}
-        if lhs != expected:
+        clear, on_i = _across(model, splitting.per_chart[j], i, j, g.pole_order())
+        zero_fiber = (0,) * (len(h_i.ring) - 1)
+        expected = _pad_x(h_i, (), clear) + MultiPoly(
+            h_i.ring, {(e + clear, *zero_fiber): c for e, c in g.terms.items()}
+        )
+        if on_i != expected:
             return False
     return True
 
@@ -337,7 +291,22 @@ def splitting_solve(
         return Splitting(ring, (MultiPoly.zero(ring),), 0)
     zero_fiber = tuple(0 for _ in model.coordinates)
     pairs = model.branch_pairs()
-    expanders = {pair: _shift_expander(model.transition_shifts(*pair)) for pair in pairs}
+    transitions = {pair: _cleared_transition(model, *pair, ring) for pair in pairs}
+    powers: dict = {}  # (pair, b) -> prod_k (x^p_k f_k + x^p_k g_k)^(b_k)
+    expansions: dict = {}  # (pair, chart-j monomial) -> its chart-i terms, Laurent in x
+
+    def expand(pair, exp: Exponent) -> dict:
+        if (pair, exp) not in expansions:
+            poles, images = transitions[pair]
+            fibers = exp[1:]
+            if (pair, fibers) not in powers:
+                powers[(pair, fibers)] = substitute(MultiPoly.monomial(ring, (0, *fibers)), images)
+            shift = exp[0] - sum(p * b for p, b in zip(poles, fibers))
+            expansions[(pair, exp)] = {
+                (e[0] + shift, e[1:]): c for e, c in powers[(pair, fibers)].terms.items()
+            }
+        return expansions[(pair, exp)]
+
     for bound in schedule:
         monomials = _monomials_up_to(len(ring), bound)
         unknowns = [(chart, exp) for chart in range(n_charts) for exp in monomials]
@@ -346,7 +315,7 @@ def splitting_solve(
         for pair in pairs:
             i, j = pair
             for exp in monomials:
-                for key, coeff in expanders[pair](exp).items():
+                for key, coeff in expand(pair, exp).items():
                     rows.setdefault((pair, key), [{}, 0])[0][(j, exp)] = coeff
                 rows.setdefault((pair, (exp[0], exp[1:])), [{}, 0])[0][(i, exp)] = -1
             for e, coeff in pullback.part(Fraction(0), i, j).terms.items():
@@ -415,8 +384,10 @@ def reexpress_on_cylinder(
     """Convert per-chart expressions of a global function into embedded form.
 
     Chart 0 writes the function as a polynomial in (x, v, t) with
-    v = (y - y_0)/x^n; clearing the denominator and dividing back by x modulo
-    the defining equation yields a polynomial in (x, y, z, w), reduced to its
+    v = (y - y_0)/x^n; clearing the denominator moves x^a v^b t^c to
+    x^(a + n(d - b)) v^b t^c, with d the v-degree, and one ``substitute``
+    of v -> y - y_0, t -> w writes it in (x, y, z, w).  Dividing back by
+    x^(n d) modulo the defining equation yields the function, reduced to its
     normal form.  Agreement with every chart expression is then verified
     exactly (the charts are honest polynomial rings).
     """
@@ -424,27 +395,12 @@ def reexpress_on_cylinder(
     base = chart_exprs[0]
     n = surface.n
     y0 = surface.root_values()[0]
-    v_degree = max(0, base.degree_in(chart_ring[1]))
-    clear_power = n * v_degree
-    # substitute v -> (y - y0), padding with x^(clear_power - n*b) per term;
-    # rows[b][k] is the coefficient comb(b, k) * (-y0)^(b - k) of y^k in (y - y0)^b
-    powers = [Fraction(1)]
-    for _ in range(v_degree):
-        powers.append(powers[-1] * -y0)
-    rows = [[comb(b, k) * powers[b - k] for k in range(b + 1)] for b in range(v_degree + 1)]
-    terms: dict = {}
-    for exp, coeff in base.terms.items():
-        a, b, c = exp
-        pad = clear_power - n * b
-        for k, binom in enumerate(rows[b]):
-            key = (a + pad, k, 0, c)
-            val = terms.get(key, Fraction(0)) + coeff * binom
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
+    clear_power = _clearance(base, (n, 0))
+    x, y, z, w = (MultiPoly.var(CYLINDER_RING, name) for name in CYLINDER_RING)
+    images = dict(zip(chart_ring, (x, y - y0, w)))
+    terms = substitute(_pad_x(base, (n, 0), clear_power), images).terms
     f = cylinder_presentation(surface).generators[0]
-    p_of_y = MultiPoly.var(CYLINDER_RING, "x") ** n * MultiPoly.var(CYLINDER_RING, "z") - f
+    p_of_y = x**n * z - f
     for _ in range(clear_power):
         terms = _divide_once_by_x(terms, p_of_y, n)
     candidate = normal_form(MultiPoly(CYLINDER_RING, terms), [f])

@@ -330,10 +330,9 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     if not f.ring:
         return f
     target = ring_union(*(assignment[v].ring if v in assignment else (v,) for v in f.ring))
-    images = {
-        v: ring_embed(assignment[v], target) if v in assignment else MultiPoly.var(target, v)
-        for v in f.ring
-    }
+    images = {v: MultiPoly.var(target, v) for v in f.ring if v not in assignment}
+    for v, image in assignment.items():
+        images[v] = image if image.ring == target else ring_embed(image, target)
     return substitute_reduced(f, images, ())
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,16 @@ def test_pole_profile():
     assert pole_profile(single(DOUBLE, "2*x^-1")) == ((Fraction(0), (0, 1), 1),)
     assert pole_profile(single(DOUBLE, "2*x^-3")) == ((Fraction(0), (0, 1), 3),)
     assert pole_profile(zero_class(DOUBLE)) == ()
+
+
+def test_orbit_equivalent_rejects_different_pole_orders_without_permuting():
+    """Eight roots give 8! branch permutations; different exponent sets of the
+    parts decide the pair before any of them is tried."""
+    roots = [(k, 1) for k in range(8)]
+    shallow, deep = (surface_class(build_surface(n, roots, Variant.PLAIN)) for n in (1, 2))
+    start = time.perf_counter()
+    assert not orbit_equivalent(shallow, deep)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_orbit_projectivization():

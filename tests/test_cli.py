@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import danielewski
-from danielewski.cli import build_parser, main
+from danielewski.cli import _schedule, build_parser, main
 
 
 def run(capsys, *argv):
@@ -112,6 +113,23 @@ def test_verify_detects_tampering(tmp_path, capsys):
         images["w"] = images["w"].replace("1/2", "1/3")
 
     refused(coefficient)
+
+    # A hostile image misses the identity at a point of the surface, so the
+    # round trips it enters are refused before any exact expansion.
+    def hostile(cert):
+        cert["backward"]["images"]["y"] += " + y^400"
+
+    start = time.perf_counter()
+    failures = refused(hostile)
+    assert time.perf_counter() - start < 1
+    assert "round_trip_source[y]: composite is not the identity modulo the ideal" in failures
+
+    # A stored splitting is re-expanded across the transitions.
+    def splitting_constant(doc):
+        doc["construction"]["splittings"]["aux_over_source"]["per_chart"][0] += " + 1"
+
+    failures = refused(splitting_constant, on_certificate=False)
+    assert failures == ["splitting aux_over_source: identity fails on re-expansion"]
 
     # An empty claim list proves nothing: every required claim is missing.
     failures = refused(lambda cert: cert.update(claims=[]))
@@ -379,6 +397,14 @@ def test_reused_parser_matches_a_fresh_interpreter(capsys, calls):
     results = [_in_process(capsys, argv) for argv in calls]
     assert results == [_fresh(argv) for argv in calls]
     assert results[0] != results[1]
+
+
+def test_degree_bound_schedule_ends_at_the_bound():
+    assert _schedule(None) == (2, 4, 6, 8)
+    assert _schedule(1) == (1,)
+    assert _schedule(3) == (2, 3)
+    assert _schedule(8) == (2, 4, 6, 8)
+    assert _schedule(9) == (2, 4, 6, 8, 9)
 
 
 def test_build_parser_returns_a_new_parser():

@@ -1,15 +1,19 @@
 """Glued models, the splitting solver, and certified cylinder isomorphisms."""
 
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from conftest import solve_linear_oracle
+from hypothesis import given, settings, strategies as st
 
 from danielewski import cylinder
 from danielewski.cech import class_normal_form, divide_by_power, surface_class, zero_class
 from danielewski.cylinder import (
     CYLINDER_RING,
     CylinderConstruction,
+    GluedModel,
     Splitting,
     attach_surface_functions,
     counterexample_pair,
@@ -25,7 +29,7 @@ from danielewski.cylinder import (
 )
 from danielewski.errors import NoSplittingFound, NotComparable, UnsupportedError
 from danielewski.fibration import MarkedPoint, MultifoldCurve, Variant, build_surface
-from danielewski.ratpoly import MultiPoly, laurent_from_str, poly_from_str
+from danielewski.ratpoly import LaurentPoly, MultiPoly, laurent_from_str, poly_from_str
 
 
 def origins(r):
@@ -149,6 +153,81 @@ def test_split_reference_solution_verifies():
     h0 = poly_from_str("-3/2*v^2 - 1/2*x*v^3", ring)
     reference = Splitting(ring, (h0, h1), 4)
     assert verify_splitting(model, divide_by_power(c, 1), reference)
+
+
+def tampered(splitting, chart=0):
+    """The splitting with one coefficient of one chart polynomial changed."""
+    per_chart = list(splitting.per_chart)
+    h = per_chart[chart]
+    exp, coeff = next(iter(h.terms.items()))
+    per_chart[chart] = MultiPoly(h.ring, {**h.terms, exp: coeff + 1})
+    return Splitting(splitting.chart_ring, tuple(per_chart), splitting.degree_bound)
+
+
+TWO_TERM = single(DOUBLE, "x^-2 + 3*x^-1")
+
+
+@pytest.mark.parametrize("model, pullback", [
+    (torsor_to_glued(TWO_TERM, "v"), divide_by_power(TWO_TERM, 1)),
+    (with_coordinate(torsor_to_glued(TWO_TERM, "v"), "w", divide_by_power(TWO_TERM, 1)),
+     divide_by_power(TWO_TERM, 2)),
+])
+def test_verify_splitting_rejects_one_changed_coefficient(model, pullback):
+    splitting = splitting_solve(model, pullback)
+    assert verify_splitting(model, pullback, splitting)
+    for chart in range(model.n_charts):
+        assert not verify_splitting(model, pullback, tampered(splitting, chart))
+
+
+def test_verify_global_functions_rejects_a_mismatched_chart_function():
+    s = s_family(0)
+    model = attach_surface_functions(torsor_to_glued(surface_class(s)), s)
+    (name, charts), *rest = model.global_functions
+    for changed in (charts[0] + 1, MultiPoly.var(model.chart_ring, "x") * charts[1]):
+        bad = GluedModel(model.curve, model.coordinates,
+                         ((name, (charts[0], changed)), *rest))
+        assert not verify_global_functions(bad)
+
+
+part_terms = st.dictionaries(st.integers(-3, -1),
+                             st.fractions(-4, 4, max_denominator=3).filter(bool),
+                             min_size=2, max_size=2)
+chart_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-5, 5, max_denominator=4).filter(bool), max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(part_terms, min_size=4, max_size=4), chart_polys,
+       st.data())
+def test_writing_across_a_transition_and_back_is_the_identity(r, potentials, terms, data):
+    """Parts g_ij = a_j - a_i of two-term potentials glue v and w; a chart-j
+    polynomial written on chart i and then back on chart j is unchanged, up
+    to the two clearing powers of x.  On chart i it takes the value of
+    x^N h(x, v + g_v(x), w + g_w(x)) at a rational point."""
+    curve = origins(r)
+    pots = [LaurentPoly("x", p) for p in potentials]
+    classes = []
+    for shift in (0, 1):
+        parts = {(0, (i, j)): pots[j + shift] - pots[i + shift]
+                 for i, j in itertools.combinations(range(r), 2)}
+        classes.append(class_normal_form({k: g for k, g in parts.items() if not g.is_zero()},
+                                         curve))
+    model = with_coordinate(torsor_to_glued(classes[0], "v"), "w", classes[1])
+    h = MultiPoly(model.chart_ring, terms)
+    i, j = data.draw(st.sampled_from(model.branch_pairs()))
+    there, on_i = cylinder._across(model, h, i, j)
+    back, on_j = cylinder._across(model, on_i, j, i)
+    assert on_j == cylinder._pad_x(h, (), there + back)
+
+    x, v, w = Fraction(2, 3), Fraction(5), Fraction(-1, 2)
+    g_v, g_w = (sum(c * x**e for e, c in cls.part(0, i, j).terms.items()) for cls in classes)
+    assert value_at(on_i, (x, v, w)) == x**there * value_at(h, (x, v + g_v, w + g_w))
+
+
+def value_at(p, point):
+    return sum(c * prod(a**e for a, e in zip(point, exp)) for exp, c in p.terms.items())
 
 
 def test_split_zero_class_is_zero():
