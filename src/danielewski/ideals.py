@@ -135,8 +135,11 @@ class _PackedDivision:
         den = lcm(*(c.denominator for c in p.terms.values()))
         return {self.key(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
-    def decode(self, ring, terms: dict, den: int) -> MultiPoly:
-        return MultiPoly(ring, {self.exponent(k): Fraction(c, den) for k, c in terms.items()})
+    def decode(self, ring: tuple[str, ...], terms: dict, den: int) -> MultiPoly:
+        """The polynomial of nonzero integer ``terms / den`` in ``ring`` (of this arity)."""
+        return MultiPoly._unchecked(
+            ring, {self.exponent(k): Fraction(c, den) for k, c in terms.items()}
+        )
 
     def reduce(self, terms: dict, den: int, quotients: Optional[list] = None):
         """Remainder of ``terms / den``, in place; returns ``(terms, den)``.
@@ -504,8 +507,9 @@ def substitute_reduced(
     ring = division_basis[0].ring if division_basis else next(iter(images.values())).ring
     used = {v: images[v] for i, v in enumerate(g.ring) if any(exp[i] for exp in g.terms)}
     used = {v: p if p.ring == ring else ring_embed(p, ring) for v, p in used.items()}
+    degrees = [used[v].total_degree() if v in used else 0 for v in g.ring]
     bound = max(
-        [sum(e * used[v].total_degree() for v, e in zip(g.ring, exp) if e) for exp in g.terms]
+        [sum(map(operator.mul, exp, degrees)) for exp in g.terms]
         + [p.total_degree() for p in division_basis] + [1]
     )
     return _at_fitting_width(

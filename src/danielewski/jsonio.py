@@ -38,13 +38,19 @@ from .fibration import (
     LineBundle,
 )
 from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, round_trip_residual
-from .ratpoly import LaurentPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute
+from .ratpoly import (
+    LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute,
+)
 from .surfexpr import SurfaceSpec, parse_surface
 
 REPORT_SCHEMA = "danielewski.report/1"
 PROOF_SCHEMA = "danielewski.proof/1"
 COCYCLE_SCHEMA = "danielewski.cocycle/1"
 PROOF_KINDS = ("cylinder_iso", "counterexample")
+# The largest exponent ``verify`` reads in a proof polynomial.  Evaluating or
+# expanding y^e costs work that grows with e, and certified maps stay far
+# below this (S0/S4 images reach degree 25).
+MAX_PROOF_EXPONENT = 2048
 
 
 def dumps(doc: dict) -> str:
@@ -127,7 +133,7 @@ def presentation_to_json(p: IdealPresentation) -> dict:
 
 def presentation_from_json(data) -> IdealPresentation:
     ring = tuple(data["ring"])
-    gens = [poly_from_str(text, ring) for text in data["generators"]]
+    gens = [_proof_poly(text, ring, "certificate generators") for text in data["generators"]]
     return IdealPresentation(ring, gens)
 
 
@@ -329,6 +335,14 @@ def _field(obj: dict, key: str, kind: type, where: str, items: type | None = Non
     return value
 
 
+def _proof_poly(text: str, ring: tuple, where: str) -> MultiPoly:
+    """A polynomial read from a proof, refused if an exponent exceeds ``MAX_PROOF_EXPONENT``."""
+    p = poly_from_str(text, ring)
+    if any(e > MAX_PROOF_EXPONENT for exp in p.terms for e in exp):
+        raise ProofFormatError(f"{where}: an exponent exceeds {MAX_PROOF_EXPONENT}")
+    return p
+
+
 def _check_proof_shape(doc) -> dict:
     """The certificate of a proof document, after checking every key replay reads."""
     if not isinstance(doc, dict):
@@ -390,6 +404,9 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     document of the wrong shape raises ``ProofFormatError`` before any
     arithmetic: a ``kind`` other than ``cylinder_iso`` or ``counterexample``,
     a missing ``construction``, or a counterexample without ``invariants``.
+    So does any polynomial of the proof with an exponent above
+    ``MAX_PROOF_EXPONENT``, when it is read and before it is evaluated or
+    substituted.
     """
     cert = _check_proof_shape(doc)
     failures: list[str] = []
@@ -400,11 +417,12 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     if len(source.generators) != 1 or len(target.generators) != 1:
         return False, ["replay requires single-generator presentations"]
 
-    def parse_images(section, ring):
-        return {name: poly_from_str(text, ring) for name, text in section["images"].items()}
+    def parse_images(side, ring):
+        return {name: _proof_poly(text, ring, f"certificate.{side}.images.{name}")
+                for name, text in cert[side]["images"].items()}
 
-    forward = parse_images(cert["forward"], source.ring)
-    backward = parse_images(cert["backward"], target.ring)
+    forward = parse_images("forward", source.ring)
+    backward = parse_images("backward", target.ring)
     for name in target.ring:
         if name not in forward:
             failures.append(f"forward image missing for {name}")
@@ -457,19 +475,19 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
         other = "target" if which == "source" else "source"
         pres = presentations[which]
         ring = pres.ring
-        residual = poly_from_str(claim_doc["residual"], ring)
+        residual = _proof_poly(claim_doc["residual"], ring, name)
         if not claim_doc["ok"] or not residual.is_zero():
             failures.append(f"{name}: claim recorded as failing")
             continue
         if claim_doc["kind"] == "generator_pullback":
             member = substitute(presentations[other].generators[0], maps[which])
-            stated = poly_from_str(claim_doc["polynomial"], ring)
+            stated = _proof_poly(claim_doc["polynomial"], ring, name)
             if member != stated:
                 failures.append(f"{name}: recorded pullback does not match the maps")
                 continue
             rebuilt = residual
             for cof_text, gen in zip(claim_doc["cofactors"], pres.generators):
-                rebuilt = rebuilt + poly_from_str(cof_text, ring) * gen
+                rebuilt = rebuilt + _proof_poly(cof_text, ring, name) * gen
             if rebuilt != member:
                 failures.append(f"{name}: cofactor identity fails")
         else:
@@ -582,7 +600,7 @@ def _verify_construction(construction: dict) -> list[str]:
     def replay(tag: str, transitions: CechClass, pullback: CechClass):
         data = construction["splittings"][tag]
         ring = tuple(data["chart_ring"])
-        per_chart = tuple(poly_from_str(text, ring) for text in data["per_chart"])
+        per_chart = tuple(_proof_poly(text, ring, f"splitting {tag}") for text in data["per_chart"])
         splitting = Splitting(ring, per_chart, int(data["degree_bound"]))
         model = GluedModel(transitions.curve, (FiberCoordinate(ring[1], transitions),))
         if pullback.curve != transitions.curve:

@@ -15,6 +15,20 @@ Two value types live here:
 Both types are immutable after construction; all operations are pure and
 return new values, so instances can be shared freely between threads.
 
+``MultiPoly(ring, terms)`` is the boundary for data from outside the
+library: it coerces the ring to a tuple and every exponent to an int tuple,
+rejects arity mismatches and negative exponents, coerces coefficients to
+``Fraction`` and drops zeros.  ``MultiPoly._unchecked(ring, terms)`` stores
+the pair as given.  It is for results the library computes from polynomials
+that already passed that boundary, whose terms are valid by construction:
+``+``, ``-``, negation, scalar and polynomial ``*``, ``ring_embed``,
+``partial_derivative`` and the packed kernel's decode
+(``ideals._PackedDivision.decode``).  Such a caller must pass a tuple ring, a
+fresh dict it does not keep, int-tuple exponents of the ring's arity and
+nonzero ``Fraction`` coefficients; each drops the zeros that cancellation
+creates.  The parser builds its term dict in one pass and goes through the
+public constructor once.
+
 Terms are ordered by graded reverse lexicographic order on the declared
 variable order.  The canonical text form (``sorted_terms`` order, ``^`` for
 powers, explicit ``*``, rationals as ``p/q``) is the interchange format used
@@ -23,6 +37,7 @@ by the CLI and by JSON documents.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -88,6 +103,15 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, ring: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap valid terms without re-checking them (see the module docstring)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def zero(cls, ring: Iterable[str]) -> "MultiPoly":
@@ -162,24 +186,18 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return MultiPoly(self.ring, out)
+        return MultiPoly._unchecked(self.ring, _merged(self.terms, other.terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._unchecked(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) - coeff
-        return MultiPoly(self.ring, out)
+        return MultiPoly._unchecked(self.ring, _merged(self.terms, other.terms, True))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -189,7 +207,7 @@ class MultiPoly:
             c = as_fraction(other)
             if c == 0:
                 return MultiPoly.zero(self.ring)
-            return MultiPoly(self.ring, {e: co * c for e, co in self.terms.items()})
+            return MultiPoly._unchecked(self.ring, {e: co * c for e, co in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -197,8 +215,9 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.ring, out)
+                old = out.get(exp)
+                out[exp] = c1 * c2 if old is None else old + c1 * c2
+        return MultiPoly._unchecked(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -258,6 +277,20 @@ class MultiPoly:
         return f"MultiPoly({self.ring}, {self})"
 
 
+def _merged(terms: dict, other: dict, negate: bool) -> dict:
+    """``terms + other`` (``terms - other`` when negating), without zeros, in a fresh dict."""
+    out = dict(terms)
+    for exp, coeff in other.items():
+        old = out.get(exp)
+        if old is None:
+            out[exp] = -coeff if negate else coeff
+        elif total := old - coeff if negate else old + coeff:
+            out[exp] = total
+        else:
+            del out[exp]
+    return out
+
+
 def ring_union(*rings: Iterable[str]) -> tuple[str, ...]:
     """Ordered union of variable lists, keeping first appearances."""
     seen: dict[str, None] = {}
@@ -281,7 +314,7 @@ def ring_embed(f: MultiPoly, target_ring: Iterable[str]) -> MultiPoly:
         for pos, e in zip(positions, exp):
             new[pos] = e
         out[tuple(new)] = coeff
-    return MultiPoly(target_ring, out)
+    return MultiPoly._unchecked(target_ring, out)
 
 
 def poly_arith(lhs: MultiPoly, rhs: MultiPoly, op: str) -> MultiPoly:
@@ -305,13 +338,9 @@ def partial_derivative(f: MultiPoly, name: str) -> MultiPoly:
     out: dict[Exponent, Fraction] = {}
     for exp, coeff in f.terms.items():
         e = exp[idx]
-        if e == 0:
-            continue
-        new = list(exp)
-        new[idx] = e - 1
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff * e
-    return MultiPoly(f.ring, out)
+        if e:  # lowering one exponent is injective on these terms, so none merge
+            out[exp[:idx] + (e - 1,) + exp[idx + 1:]] = coeff * e
+    return MultiPoly._unchecked(f.ring, out)
 
 
 def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
@@ -540,6 +569,13 @@ def poly_to_laurent(s: MultiPoly, variable: str, center=0) -> LaurentPoly:
 # -- text parsing -----------------------------------------------------
 
 
+# whitespace, an ASCII digit run, a word (a name if it starts with a letter or
+# "_"), an operator, or any other character.  Digits are ASCII only:
+# str.isdigit accepts "²", which int() refuses.  ``\s`` and ``\w`` are
+# str.isspace and str.isalnum (or "_") on every code point.
+_TOKEN = re.compile(r"(\s+)|([0-9]+)|(\w+)|([-+*/^()=])|(.)", re.S)
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -548,32 +584,20 @@ class _Tokens:
         self.index = 0
 
     def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
+        items = self.items
+        for match in _TOKEN.finditer(self.text):
+            kind = match.lastindex
+            if kind == 1:
                 continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.items.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(("name", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()=":
-                self.items.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
+            token, i = match.group(), match.start()
+            if kind == 2:
+                items.append(("int", token, i))
+            elif kind == 4:
+                items.append((token, token, i))
+            elif kind == 3 and (token[0].isalpha() or token[0] == "_"):
+                items.append(("name", token, i))
+            else:
+                raise ParseError(f"unexpected character {token[0]!r}", i)
 
     def peek(self):
         if self.index < len(self.items):
@@ -620,7 +644,7 @@ def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
     """Parse the canonical text form of a polynomial in the given ring."""
     ring = tuple(ring)
     toks = _Tokens(text)
-    result = MultiPoly.zero(ring)
+    terms: dict[Exponent, Fraction] = {}
     sign = 1
     tok = toks.peek()
     if tok[0] in "+-":
@@ -647,10 +671,11 @@ def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
                 toks.next()
                 continue
             break
-        result = result + MultiPoly.monomial(ring, tuple(exp), coeff)
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + coeff
         tok = toks.peek()
         if tok[0] == "end":
-            return result
+            return MultiPoly(ring, terms)
         if tok[0] in "+-":
             toks.next()
             sign = -1 if tok[0] == "-" else 1

@@ -69,6 +69,18 @@ def test_analyze_syntax_error_is_usage_error(capsys):
     assert "syntax error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "x z = y^\u00b2 - 1"],
+    ["analyze", "x^\u00b2 z = y - 1"],
+    ["cocycle", "push", "x^-\u00b2", "x"],
+])
+def test_non_ascii_digit_is_a_syntax_error(capsys, argv):
+    # "²" passes str.isdigit but not int(); the scanner reads ASCII digits only
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error: unexpected character '\u00b2'")
+
+
 def test_analyze_deterministic_output(capsys):
     _, out1, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")
     _, out2, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")
@@ -293,6 +305,35 @@ def test_verify_large_exponent_is_a_failure_not_a_traceback(tmp_path, capsys):
     assert "round_trip_source[w]: composite is not the identity modulo the ideal" in (
         verdict["failures"]
     )
+
+
+@pytest.mark.parametrize("side, name, term", [
+    ("backward", "y", "x^100000000"),
+    ("forward", "y", "y^100000000"),
+])
+def test_verify_refuses_a_huge_exponent_at_once(tmp_path, capsys, side, name, term):
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
+    doc = json.loads(proof_path.read_text())
+    doc["certificate"][side]["images"][name] += f" + {term}"
+    proof_path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(proof_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"certificate.{side}.images.{name}: an exponent exceeds" in err
+
+
+def test_verify_non_ascii_digit_in_a_residual_is_a_syntax_error(tmp_path, capsys):
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
+    doc = json.loads(proof_path.read_text())
+    doc["certificate"]["claims"][0]["residual"] = "y^\u00b2"
+    proof_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(proof_path))
+    assert (code, out) == (2, "") and err.startswith("syntax error:")
 
 
 def test_counterexample_pipeline(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Arithmetic foundation: fixtures and randomized ring-axiom checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import substitute_oracle
 from hypothesis import example, given, settings, strategies as st
 
 from danielewski.errors import ParseError, RingMismatchError
+from danielewski.ideals import normal_form
 from danielewski.ratpoly import (
     LaurentPoly,
     MultiPoly,
@@ -17,6 +19,7 @@ from danielewski.ratpoly import (
     poly_arith,
     poly_from_str,
     poly_to_laurent,
+    ring_embed,
     substitute,
 )
 
@@ -217,3 +220,72 @@ def test_canonical_print_is_grevlex_descending():
     f = p("x*z - y^2 + 1")
     # grevlex with x > y > z puts y^2 ahead of x*z
     assert str(f) == "-y^2 + x*z + 1"
+
+
+def test_constructor_validates_input():
+    with pytest.raises(ValueError, match="arity"):
+        MultiPoly(XYZ, {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(XYZ, {(1, -1, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(XYZ, {(1, "a", 0): 1})
+    with pytest.raises(TypeError):
+        MultiPoly(XYZ, {(1, 0, 0): 1.5})
+    with pytest.raises(ValueError):
+        MultiPoly(XYZ, {(1, 0, 0): "not a number"})
+    f = MultiPoly(["x", "y", "z"], {(1.0, 0, 0): 2, (0, 1, 0): "1/2", (0, 0, 1): 0})
+    assert f.ring == XYZ and f.terms == {(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(1, 2)}
+    assert all(type(e) is int for exp in f.terms for e in exp)
+
+
+def test_repeated_monomials_merge_when_parsed():
+    assert p("x + x") == MultiPoly(XYZ, {(1, 0, 0): 2})
+    assert p("x - x") == MultiPoly(XYZ, {(1, 0, 0): 0}) == MultiPoly.zero(XYZ)
+    assert p("x - x").terms == {}
+    assert p("2*x*y - y*x + 1/2 - 1/2*y^0") == MultiPoly(XYZ, {(1, 1, 0): 1})
+    rng = random.Random(3)
+    for _ in range(30):
+        chunks = [(rng.randint(-4, 4), rng.randint(1, 3), (rng.randint(0, 2), rng.randint(0, 1), 0))
+                  for _ in range(rng.randint(1, 12))]
+        text = " + ".join(f"{a}/{b}*x^{e[0]}*y^{e[1]}" for a, b, e in chunks).replace("+ -", "- ")
+        expected: dict = {}
+        for a, b, e in chunks:
+            expected[e] = expected.get(e, 0) + Fraction(a, b)
+        assert p(text) == MultiPoly(XYZ, expected)
+
+
+def test_parse_is_linear_in_the_term_count():
+    # adding each term to a growing polynomial took 2.3 s here
+    text = " + ".join(f"{i}*x^{i}*y^{i % 7}" for i in range(1, 2001))
+    start = time.perf_counter()
+    f = poly_from_str(text, ("x", "y"))
+    assert time.perf_counter() - start < 0.5
+    assert len(f.terms) == 2000 and f.terms[(2000, 5)] == 2000
+
+
+def assert_canonical(q):
+    """``q`` is what the validating constructor makes of its own terms."""
+    rebuilt = MultiPoly(q.ring, dict(q.terms))
+    assert q == rebuilt and hash(q) == hash(rebuilt)
+    assert type(q.ring) is tuple
+    for exp, c in q.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(exp) is tuple and len(exp) == len(q.ring)
+        assert all(type(e) is int and e >= 0 for e in exp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_in(XYZ, 3), polys_in(XYZ, 3), st.fractions(-3, 3, max_denominator=3),
+       st.sampled_from(XYZ))
+@example(p("x + 2*y"), p("x + 2*y"), Fraction(0), "x")
+@example(p("x*y - 1/2"), p("-x*y + 1/2"), Fraction(1), "y")
+@example(p("x + y"), p("x - y"), Fraction(2), "z")  # x*y cancels in the product
+def test_results_built_without_checks_are_canonical(a, b, c, var):
+    results = [a + b, a - b, a - a, a + (-a), b + a, -a, a * c, c * a, a * b, a * 2, a + 1,
+               1 - a, a ** 2, ring_embed(a, ("t", "z", "y", "s", "x")),
+               partial_derivative(a, var), partial_derivative(a * b, var),
+               substitute(a, {var: b}), substitute(a * b, {var: a - b})]
+    if not b.is_zero():
+        results += [normal_form(a, [b]), normal_form(a * b, [b], "lex")]
+    for q in results:
+        assert_canonical(q)
