@@ -28,6 +28,7 @@ parties can replay by plain polynomial arithmetic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 from dataclasses import dataclass, field
@@ -104,6 +105,7 @@ class _PackedDivision:
             shifts = [width * (n - 1 - i) for i in range(n)]
             self.one, self.weights = 0, [1 << s for s in shifts]
         base = top if order == "grevlex" else 0
+        self.shifts, self.mask, self.base = shifts, mask, base
         self.exponent = lambda k: tuple(abs(((k >> s) & mask) - base) for s in shifts)
         # (leading key - one, leading coefficient, [(key - one, -coefficient)], index)
         self.divisors: list[tuple[int, int, list, int]] = []
@@ -153,7 +155,10 @@ class _PackedDivision:
         the stored multiple of divisor ``i`` at quotient key ``q``.
         """
         divisors, guard = self.divisors, self.guard
-        heap = [-k for k in terms] if divisors else []
+        # A lead divides only keys at or above it, so terms below the smallest
+        # lead stay in the remainder and never go on the heap.
+        floor = min(d[0] for d in divisors) + self.one if divisors else None
+        heap = [-k for k in terms if k >= floor] if divisors else []
         heapq.heapify(heap)
         while heap:
             t = -heapq.heappop(heap)
@@ -181,7 +186,8 @@ class _PackedDivision:
                         if s & guard:
                             raise _FieldOverflow
                         terms[s] = c * fc
-                        heapq.heappush(heap, -s)
+                        if s >= floor:
+                            heapq.heappush(heap, -s)
                     elif new := old + c * fc:
                         terms[s] = new
                     else:
@@ -517,35 +523,129 @@ def substitute_reduced(
     )
 
 
+# Products of at least this many term pairs go through Kronecker substitution.
+# Below it the schoolbook loop is faster: packing and unpacking a few short
+# rows costs more than the pairs it saves.
+_KRONECKER_PAIRS = 4096
+
+
+def _schoolbook_product(a: dict, b: dict, one: int) -> dict:
+    """``a * b`` on packed keys, one term pair at a time, without zeros."""
+    shifted = [(k - one, c) for k, c in b.items()]
+    out: dict = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in shifted:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _kronecker_product(a: dict, b: dict, packed: _PackedDivision, var: int) -> dict:
+    """``a * b`` on packed keys by Kronecker substitution in variable ``var``.
+
+    Equal to ``_schoolbook_product(a, b, packed.one)`` for nonzero ``a`` and
+    ``b``.  Each operand is split into rows by the rest of its monomials
+    (the key without ``var``).  A row whose exponents of ``var`` are
+    ``low, low + step, ...`` becomes one signed integer with the
+    coefficient of ``var^(low + i * step)`` in slot i, where ``step`` is the
+    gcd of those offsets over all rows of both operands.  The product of two
+    such integers is the product of the two rows, so CPython's big-integer
+    multiply does the inner convolution.  An output coefficient is a sum of
+    at most ``min(len a, len b)`` products, so slots of ``bits(max|a|) +
+    bits(max|b|) + bits(min(len a, len b)) + 2`` bits hold every partial sum
+    with its sign: row products are added per key of their lowest term and
+    each sum is unpacked exactly, lowest slot first.  Keys are formed as in
+    the schoolbook product, so the guard bits flag the same overflows.
+    """
+    shift, mask, base, weight, one = (
+        packed.shifts[var], packed.mask, packed.base, packed.weights[var], packed.one
+    )
+    slot = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+            + min(len(a), len(b)).bit_length() + 2)
+
+    def split(terms: dict) -> dict:
+        """{key without var: {exponent of var: coefficient}}"""
+        rows: dict = {}
+        for k, c in terms.items():
+            e = abs(((k >> shift) & mask) - base)
+            rows.setdefault(k - e * weight, {})[e] = c
+        return rows
+
+    rows_a, rows_b = split(a), split(b)
+    step = 0
+    for row in (*rows_a.values(), *rows_b.values()):
+        step = gcd(step, *map((-min(row)).__add__, row))
+    step = step or 1
+
+    def pack(rows: dict) -> list:
+        """[(key of the row's lowest term, the row as one integer)]"""
+        out = []
+        for rest, row in rows.items():
+            low, value = min(row), 0
+            for e, c in row.items():
+                value += c << (slot * ((e - low) // step))
+            out.append((rest + low * weight, value))
+        return out
+
+    sums: dict = {}
+    get = sums.get
+    packed_a = pack(rows_a)
+    for key_b, value_b in pack(rows_b):
+        key_b -= one
+        for key_a, value_a in packed_a:
+            k = key_a + key_b
+            sums[k] = get(k, 0) + value_a * value_b
+    out: dict = {}
+    get = out.get
+    stride, digits, half = step * weight, (1 << slot) - 1, 1 << (slot - 1)
+    for k, value in sums.items():
+        while value:
+            c = value & digits
+            if c >= half:
+                c -= digits + 1
+            if c:
+                out[k] = get(k, 0) + c
+            value = (value - c) >> slot
+            k += stride
+    return {k: c for k, c in out.items() if c}
+
+
 def _substitute_packed(g, base_images, division_basis, ring, order, width) -> MultiPoly:
     packed = _PackedDivision(len(ring), order, width, division_basis)
     one, guard, reduce = packed.one, packed.guard, packed.reduce
+    # the variable of highest exponent among the images carries the packing
+    var = max(
+        range(len(ring)),
+        key=lambda i: max((e[i] for p in base_images.values() for e in p.terms), default=0),
+        default=0,
+    )
 
     def mul(a, b):
         (ta, da), (tb, db) = a, b
-        shifted = [(k - one, c) for k, c in tb.items()]
-        out: dict = {}
-        get = out.get
-        for k1, c1 in ta.items():
-            for k2, c2 in shifted:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        out = {k: c for k, c in out.items() if c}
-        if any(k & guard for k in out):
+        if len(ta) * len(tb) < _KRONECKER_PAIRS or not ring:
+            out = _schoolbook_product(ta, tb, one)
+        else:
+            out = _kronecker_product(ta, tb, packed, var)
+        if functools.reduce(operator.or_, out, 0) & guard:
             raise _FieldOverflow
         return reduce(out, da * db)
 
-    def add(a, b):
+    def add(a, b):  # ``a`` is a fresh product, summed into in place
         (ta, da), (tb, db) = a, b
         den = lcm(da, db)
-        out = {k: c * (den // da) for k, c in ta.items()}
+        if den != da:
+            m = den // da
+            for k in ta:
+                ta[k] *= m
+        m = den // db
         for k, c in tb.items():
-            v = out.get(k, 0) + c * (den // db)
+            v = ta.get(k, 0) + c * m
             if v:
-                out[k] = v
+                ta[k] = v
             else:
-                del out[k]
-        return out, den
+                del ta[k]
+        return ta, den
 
     def power(name: str, e: int):
         if (name, 1) not in cache:

@@ -616,15 +616,28 @@ class _Tokens:
         return tok
 
 
-def _parse_unsigned_rational(toks: _Tokens) -> Fraction:
+# Python 3.11 and later refuse to convert a decimal string of more digits than
+# this (sys.get_int_max_str_digits); the parser refuses such runs on every
+# version, so that they are a syntax error everywhere.
+MAX_DIGITS = 4300
+
+
+def _parse_int(toks: _Tokens) -> tuple[int, int]:
+    """The next token as a nonnegative int, with its position."""
     tok = toks.expect("int")
-    value = Fraction(int(tok[1]))
+    if len(tok[1]) > MAX_DIGITS:
+        raise ParseError(f"number of more than {MAX_DIGITS} digits", tok[2])
+    return int(tok[1]), tok[2]
+
+
+def _parse_unsigned_rational(toks: _Tokens) -> Fraction:
+    value = Fraction(_parse_int(toks)[0])
     if toks.peek()[0] == "/":
         toks.next()
-        den = toks.expect("int")
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", den[2])
-        value = value / int(den[1])
+        den, position = _parse_int(toks)
+        if den == 0:
+            raise ParseError("zero denominator", position)
+        value = value / den
     return value
 
 
@@ -636,8 +649,7 @@ def _parse_exponent(toks: _Tokens, allow_negative: bool) -> int:
             raise ParseError("negative exponent not allowed here", toks.peek()[2])
         toks.next()
         sign = -1
-    tok = toks.expect("int")
-    return sign * int(tok[1])
+    return sign * _parse_int(toks)[0]
 
 
 def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:

@@ -21,7 +21,7 @@ from .errors import ParseError
 from .fibration import (
     DanielewskiSurface, Variant, _poly_from_roots, build_surface, format_equation,
 )
-from .ratpoly import MultiPoly, _parse_unsigned_rational, _Tokens
+from .ratpoly import MultiPoly, _parse_int, _parse_unsigned_rational, _Tokens
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,9 @@ class SurfaceSpec:
 
 
 def _parse_positive_int(toks: _Tokens) -> int:
-    tok = toks.expect("int")
-    value = int(tok[1])
+    value, position = _parse_int(toks)
     if value < 1:
-        raise ParseError("exponent must be a positive integer", tok[2])
+        raise ParseError("exponent must be a positive integer", position)
     return value
 
 

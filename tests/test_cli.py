@@ -81,6 +81,21 @@ def test_non_ascii_digit_is_a_syntax_error(capsys, argv):
     assert err.startswith("syntax error: unexpected character '\u00b2'")
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["cocycle", "push", "x^-1", f"{NINES} x^-1"], 0),
+    (["cocycle", "push", "x^-1", f"x^{NINES}"], 2),
+    (["analyze", f"x z = (y - 1)^{NINES} (y + 1)"], 14),
+])
+def test_digit_run_over_the_int_conversion_limit_is_a_syntax_error(capsys, argv, position):
+    # Python 3.11+ int() refuses more than 4,300 digits; 3.10 would convert them
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"syntax error: number of more than 4300 digits (at position {position})\n"
+
+
 def test_analyze_deterministic_output(capsys):
     _, out1, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")
     _, out2, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from conftest import naive_division, substitute_oracle
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from danielewski import ideals
@@ -24,7 +25,7 @@ from danielewski.ideals import (
     reduce_full,
     substitute_reduced,
 )
-from danielewski.ratpoly import MultiPoly, poly_from_str
+from danielewski.ratpoly import MultiPoly, poly_from_str, substitute
 
 XYZ = ("x", "y", "z")
 HALVES = [Fraction(k, 2) for k in range(-5, 6, 2)]
@@ -176,3 +177,155 @@ def test_exponent_wider_than_the_packed_field(monkeypatch):
         result = substitute_reduced(p(g, xy), imgs, [p("x - y^300", xy)], "lex")
         assert result == p(expected, xy)
         assert widths == [10, 20]
+
+
+# -- the products of the kernel ----------------------------------------------
+
+# Fields of 6 bits hold exponents up to 31; a product of two such exponents
+# reaches the guard bit, which both products must set alike.
+WIDTH = 6
+TOP = (1 << (WIDTH - 1)) - 1
+wide = st.integers(-(1 << 70), 1 << 70).filter(bool)
+coefficients = wide | small_ints | st.sampled_from([(1 << 64) + 1, -(1 << 64) - 1])
+
+
+@st.composite
+def packed_operands(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, TOP)] * n)
+    operand = st.dictionaries(exps, coefficients, min_size=1, max_size=12)
+    return n, draw(operand), draw(operand)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_operands(), st.sampled_from(["grevlex", "lex"]))
+@example((1, {(TOP,): 1}, {(TOP,): -1}), "lex")
+@example((2, {(TOP, 0): 3, (0, TOP): -5}, {(TOP, TOP): 1 << 70}), "grevlex")
+@example((3, {(1, 2, 3): -(1 << 65)}, {(0, 0, 0): 7, (2, 0, 0): -1, (4, 0, 0): 1}), "lex")
+def test_kronecker_product_equals_the_schoolbook_product(operands, order):
+    n, a, b = operands
+    packed = ideals._PackedDivision(n, order, WIDTH)
+    ka = {packed.key(e): c for e, c in a.items()}
+    kb = {packed.key(e): c for e, c in b.items()}
+    expected = ideals._schoolbook_product(ka, kb, packed.one)
+    for var in range(n):
+        assert ideals._kronecker_product(ka, kb, packed, var) == expected
+
+
+def test_products_past_the_field_set_the_guard_bit():
+    packed = ideals._PackedDivision(2, "lex", WIDTH)
+    a = {packed.key((TOP, i)): i + 1 for i in range(3)}
+    product = ideals._kronecker_product(a, a, packed, 0)
+    assert product == ideals._schoolbook_product(a, a, packed.one)
+    assert product and all(k & packed.guard for k in product)
+
+
+def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
+    # Modulo x - y^300 in lex the image of x reduces to the 70 terms
+    # y^300..y^369.  Its square has 4,900 term pairs, so it is a Kronecker
+    # product, and its exponents up to 738 pass the 10-bit fields sized from
+    # the inputs: the guard bit must catch them and the kernel rerun wider.
+    xy = ("x", "y")
+    widths, kronecker = [], []
+    packed, product = ideals._substitute_packed, ideals._kronecker_product
+
+    def spy(*args):
+        widths.append(args[-1])
+        return packed(*args)
+
+    def counted(*args):
+        kronecker.append(args[-1])
+        return product(*args)
+
+    monkeypatch.setattr(ideals, "_substitute_packed", spy)
+    monkeypatch.setattr(ideals, "_kronecker_product", counted)
+    image = p(" + ".join(f"x*y^{i}" for i in range(70)), xy)
+    result = substitute_reduced(p("x^2", xy), {"x": image, "y": p("y", xy)},
+                                [p("x - y^300", xy)], "lex")
+    assert result == p(" + ".join(f"y^{300 + i}" for i in range(70)), xy) ** 2
+    assert widths == [10, 20]
+    assert kronecker == [1, 1]  # packed along y, the highest exponent of the images
+
+
+@KERNEL
+@given(outer, images, generators, st.sampled_from(["grevlex", "lex"]))
+def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, f, order):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_KRONECKER_PAIRS", 1)
+        assert_matches_oracle(g, imgs, [with_leading_coefficient(f, 1, order)], order)
+
+
+@pytest.mark.parametrize("f, assignment", [
+    (p("x^2*y + 3", ("x", "y")), {"x": MultiPoly.const((), 2), "y": MultiPoly.const((), -5)}),
+    (p("x^2*y + x*z"), {"x": MultiPoly.zero(("t",))}),
+])
+def test_empty_ring_and_zero_operands_take_the_schoolbook_path(monkeypatch, f, assignment):
+    # Even with every other product packed: the empty ring has no variable to
+    # pack along, and a zero accumulator has no rows.
+    monkeypatch.setattr(ideals, "_KRONECKER_PAIRS", 1)
+    assert substitute(f, assignment) == substitute_oracle(f, assignment)
+
+
+# -- the heap floor of the division -------------------------------------------
+
+
+def reference_reduce(self, terms, den, quotients=None):
+    """The heap division with every term on the heap: the reference for the
+    floor of ``_PackedDivision.reduce``, which skips terms below the smallest
+    leading key."""
+    import heapq
+    from math import gcd
+
+    divisors, guard = self.divisors, self.guard
+    heap = [-k for k in terms] if divisors else []
+    heapq.heapify(heap)
+    while heap:
+        t = -heapq.heappop(heap)
+        c = terms.get(t)
+        if c is None:
+            continue
+        for lead, lc, tail, i in divisors:
+            q = t - lead
+            if q & guard:
+                continue
+            del terms[t]
+            if lc != 1:
+                if c % lc:
+                    m = lc // gcd(c, lc)
+                    for k in terms:
+                        terms[k] *= m
+                    c, den = c * m, den * m
+                c //= lc
+            if quotients is not None:
+                quotients[i][q] = (c, den)
+            for fk, fc in tail:
+                s = q + fk
+                old = terms.get(s)
+                if old is None:
+                    if s & guard:
+                        raise ideals._FieldOverflow
+                    terms[s] = c * fc
+                    heapq.heappush(heap, -s)
+                elif new := old + c * fc:
+                    terms[s] = new
+                else:
+                    del terms[s]
+            break
+    common = den
+    for v in terms.values():
+        common = gcd(common, v)
+        if common == 1:
+            return terms, den
+    return {k: v // common for k, v in terms.items()}, den // common
+
+
+@KERNEL
+@given(dividends, st.lists(generators, min_size=2, max_size=4), st.sampled_from([2, -3, 4, 6]),
+       st.sampled_from([2, 3]))
+def test_reduce_full_matches_the_heap_loop_without_a_floor(f, divisors, lc, den):
+    # A non-unit leading coefficient over a rational tail forces pseudo-steps.
+    divisors = [with_rational_tail(divisors[0], lc, den)] + divisors[1:]
+    quotients, remainder = reduce_full(f, divisors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals._PackedDivision, "reduce", reference_reduce)
+        assert reduce_full(f, divisors) == (quotients, remainder)
