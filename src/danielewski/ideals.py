@@ -9,11 +9,22 @@ Every multivariate division runs through one routine, ``_PackedDivision``:
 the heap division of Monagan and Pearce on packed-int monomials, largest term
 first, first divisor whose leading term divides it, with integer
 coefficients over one denominator and a pseudo-step where a leading
-coefficient does not divide.  ``reduce_full``, ``normal_form`` and the
-Horner kernel of ``substitute_reduced`` all use it; that kernel with no
-divisors is also the plain ``ratpoly.substitute``.  Buchberger's algorithm
-runs on it too: one packed object per run holds the growing basis, each
-element encoded once, and forms and reduces every S-polynomial on packed keys.
+coefficient does not divide.  Only terms at or above the smallest leading
+key go on the heap: a leading term divides only keys at least as large, so
+the terms below it stay in the remainder untouched.  ``reduce_full``,
+``normal_form`` and the Horner kernel of ``substitute_reduced`` all use it;
+that kernel with no divisors is also the plain ``ratpoly.substitute``.
+Buchberger's algorithm runs on it too: one packed object per run holds the
+growing basis, each element encoded once, and forms and reduces every
+S-polynomial on packed keys.
+
+The kernel multiplies packed polynomials in one of two ways, chosen by
+operand size alone.  A product of fewer than ``_KRONECKER_PAIRS`` term pairs
+is the schoolbook loop over the pairs.  A larger one is a Kronecker
+substitution (``_kronecker_product``): each operand is split into rows by
+all variables but one, each row becomes one big integer, and CPython's
+integer multiply forms the row products.  The variable is the one of highest
+exponent among the images, chosen once per call.  Both give the same terms.
 
 A round trip of an isomorphism certificate (``round_trip_residual``) on a
 principal ideal divides by its one generator f, which is a Groebner basis
@@ -503,10 +514,15 @@ def substitute_reduced(
     large product "accumulator times a reduced image power", with gaps filled
     by iterative square-and-multiply.  Products are formed on the packed
     monomials of ``_PackedDivision`` (integers over one denominator) and each
-    is reduced at once by its heap division, pseudo-steps included.  Widths
-    come from a degree bound of the inputs and double whenever a packed
-    exponent overflows.  Modulo a Groebner basis (a single generator is one)
-    the result is the normal form of the plain substitution.
+    is reduced at once by its heap division, pseudo-steps included; only
+    terms at or above the smallest leading key go on the heap.  A product of
+    at least ``_KRONECKER_PAIRS`` term pairs is a Kronecker substitution in
+    the variable of highest exponent among the images, a smaller one the
+    schoolbook loop; both give the same terms.  Widths come from a degree
+    bound of the inputs and double whenever a packed exponent overflows, in
+    either product or in the division.  Modulo a Groebner basis (a single
+    generator is one) the result is the normal form of the plain
+    substitution.
     """
     if order not in ("grevlex", "lex"):
         raise ValueError(f"unknown term order {order!r}")
