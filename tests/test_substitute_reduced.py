@@ -6,11 +6,14 @@ remainder term for term for any divisor list, Groebner basis or not, since
 both take the largest term first and the first divisor that applies.
 ``substitute_reduced`` reduces while it substitutes, so it must match the
 oracle's remainder of the per-term substitution (``substitute_oracle``)
-modulo a Groebner basis, where the remainder is unique.
+modulo a Groebner basis, where the remainder is unique.  The kernel's
+Kronecker product must equal its schoolbook product, and the division with
+its heap floor the heap loop without one (``reference_reduce``).
 """
 
+import heapq
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from conftest import naive_division, substitute_oracle
 import pytest
@@ -181,7 +184,7 @@ def test_exponent_wider_than_the_packed_field(monkeypatch):
 
 # -- the products of the kernel ----------------------------------------------
 
-# Fields of 6 bits hold exponents up to 31; a product of two such exponents
+# Fields of 6 bits hold exponents up to 31; the sum of two such exponents
 # reaches the guard bit, which both products must set alike.
 WIDTH = 6
 TOP = (1 << (WIDTH - 1)) - 1
@@ -223,7 +226,7 @@ def test_products_past_the_field_set_the_guard_bit():
 def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
     # Modulo x - y^300 in lex the image of x reduces to the 70 terms
     # y^300..y^369.  Its square has 4,900 term pairs, so it is a Kronecker
-    # product, and its exponents up to 738 pass the 10-bit fields sized from
+    # product, and its exponents up to 738 exceed the 10-bit fields sized from
     # the inputs: the guard bit must catch them and the kernel rerun wider.
     xy = ("x", "y")
     widths, kronecker = [], []
@@ -273,9 +276,6 @@ def reference_reduce(self, terms, den, quotients=None):
     """The heap division with every term on the heap: the reference for the
     floor of ``_PackedDivision.reduce``, which skips terms below the smallest
     leading key."""
-    import heapq
-    from math import gcd
-
     divisors, guard = self.divisors, self.guard
     heap = [-k for k in terms] if divisors else []
     heapq.heapify(heap)
