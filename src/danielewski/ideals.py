@@ -23,8 +23,9 @@ operand size alone.  A product of fewer than ``_KRONECKER_PAIRS`` term pairs
 is the schoolbook loop over the pairs.  A larger one is a Kronecker
 substitution (``_kronecker_product``): each operand is split into rows by
 all variables but one, each row becomes one big integer, and CPython's
-integer multiply forms the row products.  The variable is the one of highest
-exponent among the images, chosen once per call.  Both give the same terms.
+integer multiply forms the row products, unless the rows would be mostly
+empty slots.  The variable is the one of highest exponent among the images,
+chosen once per call.  Both give the same terms.
 
 A round trip of an isomorphism certificate (``round_trip_residual``) on a
 principal ideal divides by its one generator f, which is a Groebner basis
@@ -543,6 +544,9 @@ def substitute_reduced(
 # Below it the schoolbook loop is faster: packing and unpacking a few short
 # rows costs more than the pairs it saves.
 _KRONECKER_PAIRS = 4096
+# ... if their packed rows hold at most this many slots per term.  Sparse rows
+# make the integer products and their unpacking cost far more than the pairs.
+_KRONECKER_SLOTS_PER_TERM = 2
 
 
 def _schoolbook_product(a: dict, b: dict, one: int) -> dict:
@@ -567,7 +571,9 @@ def _kronecker_product(a: dict, b: dict, packed: _PackedDivision, var: int) -> d
     coefficient of ``var^(low + i * step)`` in slot i, where ``step`` is the
     gcd of those offsets over all rows of both operands.  The product of two
     such integers is the product of the two rows, so CPython's big-integer
-    multiply does the inner convolution.  An output coefficient is a sum of
+    multiply does the inner convolution.  When the rows would hold more
+    than ``_KRONECKER_SLOTS_PER_TERM`` slots per term of the operands, the
+    schoolbook product is returned instead.  An output coefficient is a sum of
     at most ``min(len a, len b)`` products, so slots of ``bits(max|a|) +
     bits(max|b|) + bits(min(len a, len b)) + 2`` bits hold every partial sum
     with its sign: row products are added per key of their lowest term and
@@ -589,10 +595,15 @@ def _kronecker_product(a: dict, b: dict, packed: _PackedDivision, var: int) -> d
         return rows
 
     rows_a, rows_b = split(a), split(b)
-    step = 0
+    step = spans = 0
     for row in (*rows_a.values(), *rows_b.values()):
-        step = gcd(step, *map((-min(row)).__add__, row))
+        low = min(row)
+        step = gcd(step, *map((-low).__add__, row))
+        spans += max(row) - low
     step = step or 1
+    slots = spans // step + len(rows_a) + len(rows_b)
+    if slots > _KRONECKER_SLOTS_PER_TERM * (len(a) + len(b)):
+        return _schoolbook_product(a, b, one)
 
     def pack(rows: dict) -> list:
         """[(key of the row's lowest term, the row as one integer)]"""

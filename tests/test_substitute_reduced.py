@@ -11,9 +11,10 @@ Kronecker product must equal its schoolbook product, and the division with
 its heap floor the heap loop without one (``reference_reduce``).
 """
 
+import contextlib
 import heapq
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, inf
 
 from conftest import naive_division, substitute_oracle
 import pytest
@@ -192,6 +193,16 @@ wide = st.integers(-(1 << 70), 1 << 70).filter(bool)
 coefficients = wide | small_ints | st.sampled_from([(1 << 64) + 1, -(1 << 64) - 1])
 
 
+@contextlib.contextmanager
+def every_product_packed():
+    """The kernel with every product of a nonempty ring packed, however small
+    or sparse its operands."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "_KRONECKER_PAIRS", 1)
+        mp.setattr(ideals, "_KRONECKER_SLOTS_PER_TERM", inf)
+        yield
+
+
 @st.composite
 def packed_operands(draw):
     n = draw(st.integers(1, 3))
@@ -211,14 +222,16 @@ def test_kronecker_product_equals_the_schoolbook_product(operands, order):
     ka = {packed.key(e): c for e, c in a.items()}
     kb = {packed.key(e): c for e, c in b.items()}
     expected = ideals._schoolbook_product(ka, kb, packed.one)
-    for var in range(n):
-        assert ideals._kronecker_product(ka, kb, packed, var) == expected
+    with every_product_packed():
+        for var in range(n):
+            assert ideals._kronecker_product(ka, kb, packed, var) == expected
 
 
 def test_products_past_the_field_set_the_guard_bit():
     packed = ideals._PackedDivision(2, "lex", WIDTH)
     a = {packed.key((TOP, i)): i + 1 for i in range(3)}
-    product = ideals._kronecker_product(a, a, packed, 0)
+    with every_product_packed():
+        product = ideals._kronecker_product(a, a, packed, 0)
     assert product == ideals._schoolbook_product(a, a, packed.one)
     assert product and all(k & packed.guard for k in product)
 
@@ -253,8 +266,7 @@ def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
 @KERNEL
 @given(outer, images, generators, st.sampled_from(["grevlex", "lex"]))
 def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, f, order):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals, "_KRONECKER_PAIRS", 1)
+    with every_product_packed():
         assert_matches_oracle(g, imgs, [with_leading_coefficient(f, 1, order)], order)
 
 
@@ -262,11 +274,29 @@ def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, f, order):
     (p("x^2*y + 3", ("x", "y")), {"x": MultiPoly.const((), 2), "y": MultiPoly.const((), -5)}),
     (p("x^2*y + x*z"), {"x": MultiPoly.zero(("t",))}),
 ])
-def test_empty_ring_and_zero_operands_take_the_schoolbook_path(monkeypatch, f, assignment):
+def test_empty_ring_and_zero_operands_take_the_schoolbook_path(f, assignment):
     # Even with every other product packed: the empty ring has no variable to
     # pack along, and a zero accumulator has no rows.
-    monkeypatch.setattr(ideals, "_KRONECKER_PAIRS", 1)
-    assert substitute(f, assignment) == substitute_oracle(f, assignment)
+    with every_product_packed():
+        assert substitute(f, assignment) == substitute_oracle(f, assignment)
+
+
+def test_sparse_rows_take_the_schoolbook_path(monkeypatch):
+    # Rows with the x-exponents 0, 1 and 1023 would pack 3 terms into 1,024
+    # slots each; their integer products and unpacking cost hundreds of times
+    # the 9,216 term pairs (17 s against 0.07 s for twice these rows).
+    ring = ("x", "y", "s", "t")
+    a = MultiPoly(ring, {(e, i, 0, 0): 1 for i in range(1024) for e in (0, 1, 1023)})
+    b = MultiPoly(ring, {(e, 0, 0, 0): 1 for e in (0, 1, 1023)})
+    schoolbook, pairs = ideals._schoolbook_product, []
+
+    def counted(x, y, one):
+        pairs.append(len(x) * len(y))
+        return schoolbook(x, y, one)
+
+    monkeypatch.setattr(ideals, "_schoolbook_product", counted)
+    assert substitute(MultiPoly(("s", "t"), {(1, 1): 1}), {"s": a, "t": b}) == a * b
+    assert max(pairs) == 3072 * 3
 
 
 # -- the heap floor of the division -------------------------------------------
