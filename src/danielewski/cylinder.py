@@ -8,7 +8,8 @@ ways (both total spaces are affine), and chaining the two trivializations on
 each side produces an explicit polynomial isomorphism between the cylinders
 over the two surfaces.  Every emitted isomorphism is returned as a checked
 certificate: well-definedness and the two round trips are verified by exact
-ideal membership, and every splitting is re-verified by direct expansion.
+division by each cylinder's one generator, with no Groebner basis, and every
+splitting is re-verified by direct expansion.
 
 Chart conventions: over the line with r origins every glued object carries
 one chart per branch with local ring Q[x, <fiber coordinates>]; the pair
@@ -16,9 +17,11 @@ one chart per branch with local ring Q[x, <fiber coordinates>]; the pair
 order k, to each fiber coordinate.  Clearing that pole, x^k f_j =
 x^k f_i + x^k g_ij is a polynomial, so a chart polynomial is written on
 another chart by one ``substitute`` of its x-padded copy (see ``_across``),
-and the re-expression on the cylinder is one ``substitute`` too.  One helper, ``_chart_embedding``, writes a surface's y
+and the re-expression on the cylinder is one reduced substitution modulo the
+surface's generator.  One helper, ``_chart_embedding``, writes a surface's y
 and z on a chart; it serves the global functions of a surface model, the
-re-expression check and the images of the maps.  The construction is
+re-expression check and the images of the maps, whose terms are reduced
+modulo the generator (grevlex normal forms).  The construction is
 symmetric in the two surfaces, so the backward map is the forward recipe
 run with the surfaces swapped.
 """
@@ -37,8 +40,8 @@ from .ideals import (
     IdealPresentation,
     IsoCertificate,
     PolyMap,
+    _remainder_by_generator,
     normal_form,
-    reduce_full,
     unchecked_certificate,
     verify_iso_certificate,
 )
@@ -342,36 +345,6 @@ def splitting_solve(
 # -- re-expression in embedded coordinates ---------------------------------
 
 
-def _divide_once_by_x(terms, p_of_y: MultiPoly, n: int):
-    """Given H with [H] in x*A for A the cylinder algebra of the surface,
-    return H' with H = x*H' modulo the defining equation.
-
-    Writes H = x*Q + R(y, z, w); regularity forces P(y) | R, and P = x^n z
-    modulo the equation turns the quotient into x^(n-1) z * D.  P is monic
-    in y, so the quotient D and the remainder of the division are unique.
-    """
-    x_idx, z_idx = 0, 2
-    q_terms: dict = {}
-    r_terms: dict = {}
-    for exp, coeff in terms.items():
-        if exp[x_idx] == 0:
-            r_terms[exp] = coeff
-        else:
-            lowered = list(exp)
-            lowered[x_idx] -= 1
-            q_terms[tuple(lowered)] = coeff
-    (d_terms,), rem = reduce_full(MultiPoly(p_of_y.ring, r_terms), [p_of_y])
-    if not rem.is_zero():
-        raise RuntimeError("chart expression is not regular on the surface")
-    for exp, coeff in d_terms.items():
-        lifted = list(exp)
-        lifted[x_idx] += n - 1
-        lifted[z_idx] += 1
-        key = tuple(lifted)
-        q_terms[key] = q_terms.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in q_terms.items() if v}
-
-
 def cylinder_presentation(surface: DanielewskiSurface) -> IdealPresentation:
     """The cylinder over a surface, embedded in A^4 with coordinate w."""
     f = ring_embed(surface.defining_polynomial, CYLINDER_RING)
@@ -383,27 +356,31 @@ def reexpress_on_cylinder(
 ) -> MultiPoly:
     """Convert per-chart expressions of a global function into embedded form.
 
-    Chart 0 writes the function as a polynomial in (x, v, t) with
+    Chart 0 writes the function F as a polynomial in (x, v, t) with
     v = (y - y_0)/x^n; clearing the denominator moves x^a v^b t^c to
-    x^(a + n(d - b)) v^b t^c, with d the v-degree, and one ``substitute``
-    of v -> y - y_0, t -> w writes it in (x, y, z, w).  Dividing back by
-    x^(n d) modulo the defining equation yields the function, reduced to its
-    normal form.  Agreement with every chart expression is then verified
-    exactly (the charts are honest polynomial rings).
+    x^(a + n(d - b)) v^b t^c, with d the v-degree, so the padded expression
+    is x^N F with N = n d.  One reduced substitution of v -> y - y_0,
+    t -> w writes it in (x, y, z, w) modulo the generator f, in f's
+    elimination order (lex, y first).  There LT(f) = y^(deg P), so x^N times
+    a reduced polynomial is reduced, and normal forms are unique: the result
+    is x^N NF(F).  F is regular on the surface iff every x-exponent of the
+    result is at least N; lowering them by N and taking the grevlex normal
+    form gives the function.  Agreement with every chart expression is then
+    verified exactly (the charts are honest polynomial rings).
     """
     chart_ring = chart_exprs[0].ring
     base = chart_exprs[0]
     n = surface.n
     y0 = surface.root_values()[0]
     clear_power = _clearance(base, (n, 0))
-    x, y, z, w = (MultiPoly.var(CYLINDER_RING, name) for name in CYLINDER_RING)
-    images = dict(zip(chart_ring, (x, y - y0, w)))
-    terms = substitute(_pad_x(base, (n, 0), clear_power), images).terms
+    x, y, w = (MultiPoly.var(CYLINDER_RING, name) for name in ("x", "y", "w"))
     f = cylinder_presentation(surface).generators[0]
-    p_of_y = x**n * z - f
-    for _ in range(clear_power):
-        terms = _divide_once_by_x(terms, p_of_y, n)
-    candidate = normal_form(MultiPoly(CYLINDER_RING, terms), [f])
+    images = dict(zip(chart_ring, (x, y - y0, w)))
+    padded = _remainder_by_generator(_pad_x(base, (n, 0), clear_power), images, f, "y")
+    if any(exp[0] < clear_power for exp in padded.terms):
+        raise RuntimeError("chart expression is not regular on the surface")
+    lowered = {(exp[0] - clear_power, *exp[1:]): c for exp, c in padded.terms.items()}
+    candidate = normal_form(MultiPoly(CYLINDER_RING, lowered), [f])
     t = MultiPoly.var(chart_ring, chart_ring[2])
     for chart, expr in enumerate(chart_exprs):
         if substitute(candidate, {**_chart_embedding(surface, chart, chart_ring), "w": t}) != expr:

@@ -27,11 +27,11 @@ integer multiply forms the row products, unless the rows would be mostly
 empty slots.  The variable is the one of highest exponent among the images,
 chosen once per call.  Both give the same terms.
 
-A round trip of an isomorphism certificate (``round_trip_residual``) on a
-principal ideal divides by its one generator f, which is a Groebner basis
-under every monomial order.  When f is monic in a variable v, as
-``x^n z - P(y)`` is in y, the division runs in lex order with v first,
-where the composites stay small.
+The cylinders over ``x^n z = P(y)`` are principal, so reducing modulo one
+means dividing by its generator f, a Groebner basis under every order; the
+certificates compute no basis.  When f is monic in a variable v, as
+``x^n z - P(y)`` is in y, substitution and division run in lex order with v
+first, where the composites stay small (``_remainder_by_generator``).
 
 Everything is computed over exact rationals; a membership verdict is an
 unconditional identity ``f = sum(cofactor_i * generator_i)`` that third
@@ -456,12 +456,6 @@ def _groebner_cached(ideal: IdealPresentation, order: str):
     return tuple(polys)
 
 
-@lru_cache(maxsize=None)
-def _groebner_traced(ideal: IdealPresentation, order: str):
-    polys, vecs = _reduced_basis(ideal.generators, order, ideal.ring, trace=True)
-    return tuple(polys), tuple(tuple(v) for v in vecs)
-
-
 def groebner_basis(ideal: IdealPresentation, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis; deterministic and generator-order independent."""
     if order not in ORDER_KEYS:
@@ -490,7 +484,7 @@ def ideal_member_witness(
     """
     if f.ring != ideal.ring:
         raise RingMismatchError(f"ring mismatch: {f.ring} vs {ideal.ring}")
-    basis, traces = _groebner_traced(ideal, order)
+    basis, traces = _reduced_basis(ideal.generators, order, ideal.ring, trace=True)
     ring = ideal.ring
     if not basis:
         return f.is_zero(), tuple(), f
@@ -792,14 +786,15 @@ def verify_morphism(pmap: PolyMap, order: str = "grevlex") -> bool:
 class Claim:
     """One checked membership claim with its replayable witness.
 
+    Every claim is a division by the one generator of its side.
     ``generator_pullback`` claims carry the claimed member and an exact
-    cofactor identity ``polynomial == sum(cofactors * generators) + residual``.
-    ``round_trip`` claims store the remainder of the composite minus the
-    identity (``round_trip_residual``): for one generator, its remainder in
-    the generator's elimination order, else the normal form modulo the
-    Groebner basis.  Replaying them needs only division by the stated
-    generators, never a basis computation.  A claim holds iff its residual
-    is zero.
+    cofactor identity ``polynomial == cofactors[0] * generator + residual``:
+    the quotient and remainder of the member in grevlex.  ``round_trip``
+    claims store the remainder of the composite minus the identity
+    (``round_trip_residual``): in the generator's elimination order when it
+    is monic in a variable, else in grevlex.  Replaying them needs only
+    that division, never a basis computation.  A claim holds iff its
+    residual is zero.
     """
 
     name: str
@@ -869,6 +864,23 @@ def _elimination_ring(ring: tuple[str, ...], v: str) -> tuple[str, ...]:
     return (v,) + tuple(u for u in ring if u != v) if v in ring else ring
 
 
+def _remainder_by_generator(g, images, f: MultiPoly, v: str, minus=None) -> MultiPoly:
+    """Remainder of ``substitute(g, images) - minus`` modulo ``f``, in ``f.ring``.
+
+    ``f`` is monic in ``v`` (``_elimination_variable``); the remainder is
+    taken in lex with v first and the other variables in ring order, for the
+    packed monomials, the Horner nesting of ``g`` and the division alike.
+    For ``x^n z - P(y)``, v = y and the remainder has y-degree below deg P.
+    """
+    ring = _elimination_ring(f.ring, v)
+    divisors = [ring_embed(f, ring)]
+    g = ring_embed(g, _elimination_ring(g.ring, v))
+    result = substitute_reduced(g, dict(images), divisors, "lex")
+    if minus is not None:
+        result = normal_form(result - ring_embed(minus, ring), divisors, "lex")
+    return ring_embed(result, f.ring)
+
+
 def round_trip_residual(
     outer: MultiPoly,
     inner_images: Mapping[str, MultiPoly],
@@ -883,31 +895,32 @@ def round_trip_residual(
     A single divisor f is a Groebner basis under every monomial order, so
     when f is monic in a variable v (see ``_elimination_variable``) the
     residual is the remainder in f's elimination order instead of
-    ``order``: lex with v first and the other variables in ring order, for
-    the packed monomials, the Horner nesting of ``outer`` and the division
-    alike.  For ``x^n z - P(y)`` that is v = y, and the remainder has
-    y-degree below deg P.  The result is returned in the divisors' ring.
+    ``order`` (``_remainder_by_generator``).  The result is returned in the
+    divisors' ring.
     """
     v = _elimination_variable(divisors[0]) if len(divisors) == 1 else None
     if v is not None:
-        ring, order = divisors[0].ring, "lex"
-        outer = ring_embed(outer, _elimination_ring(outer.ring, v))
-        divisors = [ring_embed(divisors[0], _elimination_ring(ring, v))]
+        f = divisors[0]
+        return _remainder_by_generator(outer, inner_images, f, v, MultiPoly.var(f.ring, var))
     composite = substitute_reduced(outer, dict(inner_images), divisors, order)
-    residual = normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
-    return residual if v is None else ring_embed(residual, ring)
+    return normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
 
 
-def verify_iso_certificate(cert: IsoCertificate, order: str = "grevlex") -> IsoCertificate:
+def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
     """Compute all four flags and attach membership witnesses.
 
-    The composition checks require, for each source variable w, that
-    substituting the forward images into backward.images[w] differs from w
-    by a member of the source ideal (and symmetrically for the target).
+    Both presentations must have one generator, and every claim divides
+    by it: a pullback's cofactor and residual are its grevlex quotient and
+    remainder.  The composition checks require, for each source variable w,
+    that substituting the forward images into backward.images[w] differs
+    from w by a member of the source ideal (and symmetrically for the
+    target).
     """
     forward, backward = cert.forward, cert.backward
     if forward.source != backward.target or forward.target != backward.source:
         raise ValueError("forward and backward maps do not pair up structurally")
+    if len(forward.source.generators) != 1 or len(forward.target.generators) != 1:
+        raise ValueError("certificates need single-generator presentations")
     # each direction: the map, its inverse, its claim prefix, the side of its source
     directions = (
         (forward, backward, "forward", "source"),
@@ -915,15 +928,15 @@ def verify_iso_certificate(cert: IsoCertificate, order: str = "grevlex") -> IsoC
     )
     claims: list[Claim] = []
     for pmap, _, label, side in directions:
-        for k, g in enumerate(pmap.target.generators):
-            poly = pmap.pull_back(g)
-            ok, cofactors, residual = ideal_member_witness(poly, pmap.source, order)
-            claims.append(Claim(f"{label}_well_defined[{k}]", side, "generator_pullback", str(k),
-                                poly, residual, cofactors, ok))
+        f = pmap.source.generators[0]
+        poly = pmap.pull_back(pmap.target.generators[0])
+        (quotient,), residual = reduce_full(poly, [f])
+        claims.append(Claim(f"{label}_well_defined[0]", side, "generator_pullback", "0", poly,
+                            residual, (MultiPoly(f.ring, quotient),), residual.is_zero()))
     for pmap, inverse, _, side in directions:
-        basis = _groebner_cached(pmap.source, order)
         for var in pmap.source.ring:
-            residual = round_trip_residual(inverse.images[var], pmap.images, var, basis, order)
+            residual = round_trip_residual(inverse.images[var], pmap.images, var,
+                                           pmap.source.generators)
             claims.append(Claim(f"round_trip_{side}[{var}]", side, "round_trip", var, None,
                                 residual, None, residual.is_zero()))
 

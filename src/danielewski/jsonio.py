@@ -11,6 +11,7 @@ computation on the verifier's side.
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 from fractions import Fraction
 from math import lcm, prod
@@ -37,7 +38,8 @@ from .fibration import (
     relatively_connected_quotient,
     LineBundle,
 )
-from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, round_trip_residual
+from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, leading_term
+from .ideals import round_trip_residual
 from .ratpoly import (
     LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute,
 )
@@ -396,12 +398,14 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     coefficients anywhere in the maps, claims, or splittings.  The claim set
     is derived here, not trusted: one ``generator_pullback`` per generator
     and one ``round_trip`` per ring variable on each side, none missing,
-    repeated or extra.  Each side's surface equation must rebuild the
-    certified generator, be smooth (``SurfaceSpec.is_smooth``, no basis), and
-    give the recorded ``n``, ``variant`` and ``roots``; ``smooth`` must be
-    recorded as true.  A counterexample's pole profiles and orbit verdict
-    must be the ones its two equations give (``_verify_invariants``).  A
-    document of the wrong shape raises ``ProofFormatError`` before any
+    repeated or extra.  An image with a term divisible by the grevlex leading
+    term of its domain's generator is a failure, and no round trip (each
+    composes both maps) is then expanded.  Each side's surface equation must
+    rebuild the certified generator, be smooth (``SurfaceSpec.is_smooth``, no
+    basis), and give the recorded ``n``, ``variant`` and ``roots``; ``smooth``
+    must be recorded as true.  A counterexample's pole profiles and orbit
+    verdict must be the ones its two equations give (``_verify_invariants``).
+    A document of the wrong shape raises ``ProofFormatError`` before any
     arithmetic: a ``kind`` other than ``cylinder_iso`` or ``counterexample``,
     a missing ``construction``, or a counterexample without ``invariants``.
     So does any polynomial of the proof with an exponent above
@@ -434,6 +438,15 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
 
     presentations = {"source": source, "target": target}
     maps = {"source": forward, "target": backward}
+    # certified images are normal forms; padding one by a multiple of the generator
+    # would pass the probe and drive up the cost of the exact round trips
+    unreduced = False
+    for label, side in (("forward", "source"), ("backward", "target")):
+        lead = leading_term(presentations[side].generators[0])[0]
+        for name, image in sorted(maps[side].items()):
+            if any(all(map(operator.ge, exp, lead)) for exp in image.terms):
+                failures.append(f"{label} image of {name} is not reduced modulo the {side} generator")
+                unreduced = True
     checksum = zlib.crc32(json.dumps(cert, sort_keys=True).encode())
     probes = {side: _probe_point(pres, maps[side], zlib.crc32(side.encode(), checksum))
               for side, pres in presentations.items()}
@@ -490,7 +503,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
                 rebuilt = rebuilt + _proof_poly(cof_text, ring, name) * gen
             if rebuilt != member:
                 failures.append(f"{name}: cofactor identity fails")
-        else:
+        elif not unreduced:  # every round trip composes both maps
             var = claim_doc["subject"]
             # a composite that misses the identity at a point of the surface certainly
             # fails, so the exact expansion, whose cost hostile images drive up, is skipped

@@ -57,12 +57,22 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+# Python 3.11+ converts no int of more decimal digits (sys.get_int_max_str_digits);
+# the parser and ``fraction_str`` refuse them on every version.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+
+
 def fraction_str(q: Fraction) -> str:
-    """Render a rational in the ``p/q`` interchange form (``p`` if integral)."""
+    """Render a rational in the ``p/q`` interchange form (``p`` if integral);
+    a part of more than ``MAX_DIGITS`` digits raises ``ValueError``."""
     q = as_fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.numerator, q.denominator
+    if abs(num) >= _DIGIT_BOUND or den >= _DIGIT_BOUND:
+        raise ValueError(f"a computed number has more than {MAX_DIGITS} digits")
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def grevlex_key(exp: Exponent):
@@ -141,11 +151,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(exp) == 0 for exp in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -395,16 +400,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero Laurent polynomial has no exponents")
-        return min(self.terms)
-
-    def max_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero Laurent polynomial has no exponents")
-        return max(self.terms)
-
     def pole_order(self) -> int:
         """Order of the pole at the center (0 if regular there)."""
         if not self.terms:
@@ -475,9 +470,6 @@ class LaurentPoly:
 
     def principal_part(self) -> "LaurentPoly":
         return self.split()[1]
-
-    def regular_part(self) -> "LaurentPoly":
-        return self.split()[0]
 
     def is_principal(self) -> bool:
         return all(e < 0 for e in self.terms)
@@ -614,12 +606,6 @@ class _Tokens:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
-
-
-# Python 3.11 and later refuse to convert a decimal string of more digits than
-# this (sys.get_int_max_str_digits); the parser refuses such runs on every
-# version, so that they are a syntax error everywhere.
-MAX_DIGITS = 4300
 
 
 def _parse_int(toks: _Tokens) -> tuple[int, int]:

@@ -96,6 +96,13 @@ def test_digit_run_over_the_int_conversion_limit_is_a_syntax_error(capsys, argv,
     assert err == f"syntax error: number of more than 4300 digits (at position {position})\n"
 
 
+def test_computed_number_over_the_digit_limit_is_refused(capsys):
+    # the root difference 10^4300 of this class part has 4,301 digits
+    code, out, err = run(capsys, "analyze", f"x z = (y - {'9' * 4300}) (y + 1)")
+    assert (code, out) == (1, "")
+    assert err == "refused: a computed number has more than 4300 digits\n"
+
+
 def test_analyze_deterministic_output(capsys):
     _, out1, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")
     _, out2, _ = run(capsys, "analyze", "x^1 z = (y - 1) (y + 1)")
@@ -150,6 +157,19 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(hostile)
     assert time.perf_counter() - start < 1
     assert "round_trip_source[y]: composite is not the identity modulo the ideal" in failures
+
+    # An image padded by a multiple of the generator agrees with the identity
+    # everywhere, so it is refused as unreduced before any round trip is expanded.
+    def padded(cert):
+        cert["backward"]["images"]["y"] += " + x^2*z*y^60 - y^62 + y^60"
+
+    start = time.perf_counter()
+    failures = refused(padded)
+    assert time.perf_counter() - start < 1
+    assert failures == [
+        "backward image of y is not reduced modulo the target generator",
+        "backward_well_defined[0]: recorded pullback does not match the maps",
+    ]
 
     # A stored splitting is re-expanded across the transitions.
     def splitting_constant(doc):

@@ -8,7 +8,7 @@ import pytest
 from conftest import solve_linear_oracle
 from hypothesis import given, settings, strategies as st
 
-from danielewski import cylinder
+from danielewski import cylinder, ideals
 from danielewski.cech import class_normal_form, divide_by_power, surface_class, zero_class
 from danielewski.cylinder import (
     CYLINDER_RING,
@@ -29,7 +29,9 @@ from danielewski.cylinder import (
 )
 from danielewski.errors import NoSplittingFound, NotComparable, UnsupportedError
 from danielewski.fibration import MarkedPoint, MultifoldCurve, Variant, build_surface
-from danielewski.ratpoly import LaurentPoly, MultiPoly, laurent_from_str, poly_from_str
+from danielewski.ideals import normal_form
+from danielewski.jsonio import cylinder_proof, verify_proof
+from danielewski.ratpoly import LaurentPoly, MultiPoly, laurent_from_str, poly_from_str, substitute
 
 
 def origins(r):
@@ -321,6 +323,39 @@ def test_reexpress_detects_non_global_data():
     v = MultiPoly.var(chart_ring, "v")
     with pytest.raises(RuntimeError):
         reexpress_on_cylinder([v, v], s)  # v alone is not global
+    # on S1 (x^2 z = y^2 - 1) chart 0 has y = 1 + x^2 v: v and x v have poles
+    s1 = s_family(1)
+    x = MultiPoly.var(chart_ring, "x")
+    for expr in (v, x * v):
+        with pytest.raises(RuntimeError, match="not regular on the surface"):
+            reexpress_on_cylinder([expr, expr], s1)
+    # x^2 v = y - 1, which is x^2 v' - 2 on chart 1 (y = -1 + x^2 v')
+    assert reexpress_on_cylinder([x**2 * v, x**2 * v - 2], s1) == poly_from_str(
+        "y - 1", CYLINDER_RING)
+
+
+half_integers = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+cylinder_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4).filter(lambda e: sum(e) <= 3),
+    st.fractions(-3, 3, max_denominator=2).filter(bool), max_size=4,
+).map(lambda terms: MultiPoly(CYLINDER_RING, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cylinder_polys, st.integers(1, 3),
+       st.lists(st.one_of(st.integers(-3, 3).map(Fraction), half_integers),
+                min_size=2, max_size=3, unique=True))
+def test_reexpress_inverts_the_chart_embeddings(F, n, roots):
+    """A polynomial written on every chart re-expresses to its normal form."""
+    s = build_surface(n, [(root, 1) for root in roots], Variant.PLAIN)
+    chart_ring = ("x", "v", "t")
+    t = MultiPoly.var(chart_ring, "t")
+    charts = [
+        substitute(F, {**cylinder._chart_embedding(s, i, chart_ring), "w": t})
+        for i in range(len(roots))
+    ]
+    f = cylinder_presentation(s).generators[0]
+    assert reexpress_on_cylinder(charts, s) == normal_form(F, [f])
 
 
 # -- cylinder isomorphisms -----------------------------------------------------
@@ -331,6 +366,21 @@ def test_cylinder_iso_danielewski_pair():
     assert cert.flags == (True, True, True, True)
     # the classical contraction shape: x stays, w-image is affine in w
     assert cert.forward.images["x"] == poly_from_str("x", CYLINDER_RING)
+
+
+def test_construction_and_replay_compute_no_groebner_basis(monkeypatch):
+    """Once the surfaces are built, constructing and replaying a proof only
+    divides by each cylinder's generator."""
+    source, target = s_family(0), s_family(1)
+    ideals._groebner_cached.cache_clear()
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(ideals, "_reduced_basis", no_basis)
+    con = cylinder_construction(source, target)
+    assert con.certificate.is_valid()
+    assert verify_proof(cylinder_proof(con)) == (True, [])
 
 
 def test_cylinder_iso_same_surface_is_identity():

@@ -293,6 +293,25 @@ def test_certificate_witnesses_replay():
             assert rebuilt == claim.polynomial
 
 
+def test_certificate_refuses_a_two_generator_presentation():
+    i = ideal("x*z - y^2 + 1", "x")
+    with pytest.raises(ValueError, match="single-generator"):
+        verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
+
+
+def test_pullback_cofactor_is_the_quotient_by_the_generator():
+    """The certificate divides by the generator; the traced basis of the same
+    ideal gives the same cofactor and residual."""
+    source, target = ideal("2*x^2*z - 2*y^2 + 2"), ideal("x*z - y^2 + 1")
+    forward = PolyMap(source, target, {"x": p("x"), "y": p("y"), "z": p("x*z")})
+    backward = PolyMap(target, source, {v: p(v) for v in XYZ})
+    cert = verify_iso_certificate(unchecked_certificate(forward, backward))
+    claim = cert.evidence[0]
+    assert claim.name == "forward_well_defined[0]" and claim.ok
+    assert claim.cofactors == (p("1/2"),)
+    assert ideal_member_witness(claim.polynomial, source) == (True, claim.cofactors, claim.residual)
+
+
 def test_substitute_reduced_matches_plain_substitution():
     from danielewski.ideals import substitute_reduced
 

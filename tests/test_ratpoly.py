@@ -13,6 +13,7 @@ from danielewski.ideals import normal_form
 from danielewski.ratpoly import (
     LaurentPoly,
     MultiPoly,
+    fraction_str,
     laurent_from_str,
     laurent_split,
     partial_derivative,
@@ -183,6 +184,17 @@ def test_poly_to_laurent_recentering():
     # x^2 = (x-1)^2 + 2(x-1) + 1
     assert shifted.terms == {2: Fraction(1), 1: Fraction(2), 0: Fraction(1)}
     assert shifted.center == 1
+
+
+@pytest.mark.parametrize("q", [Fraction(10**4300), Fraction(-(10**4300)), Fraction(1, 10**4300)])
+def test_fraction_str_refuses_more_digits_than_the_parser_reads(q):
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        fraction_str(q)
+
+
+def test_fraction_str_at_the_digit_limit():
+    nines = 10**4300 - 1
+    assert fraction_str(Fraction(-nines, nines - 1)) == f"-{nines}/{nines - 1}"
 
 
 def test_poly_text_round_trip():
