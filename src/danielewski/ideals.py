@@ -11,21 +11,22 @@ first, first divisor whose leading term divides it, with integer
 coefficients over one denominator and a pseudo-step where a leading
 coefficient does not divide.  Only terms at or above the smallest leading
 key go on the heap: a leading term divides only keys at least as large, so
-the terms below it stay in the remainder untouched.  ``reduce_full``,
-``normal_form`` and the Horner kernel of ``substitute_reduced`` all use it;
-that kernel with no divisors is also the plain ``ratpoly.substitute``.
-Buchberger's algorithm runs on it too: one packed object per run holds the
-growing basis, each element encoded once, and forms and reduces every
-S-polynomial on packed keys.
+the terms below it stay in the remainder untouched.  ``reduce_full`` and
+``normal_form`` use it, and Buchberger's algorithm runs on it too: one
+packed object per run holds the growing basis, each element encoded once,
+and forms and reduces every S-polynomial on packed keys.
 
-The kernel multiplies packed polynomials in one of two ways, chosen by
-operand size alone.  A product of fewer than ``_KRONECKER_PAIRS`` term pairs
-is the schoolbook loop over the pairs.  A larger one is a Kronecker
-substitution (``_kronecker_product``): each operand is split into rows by
-all variables but one, each row becomes one big integer, and CPython's
-integer multiply forms the row products, unless the rows would be mostly
-empty slots.  The variable is the one of highest exponent among the images,
-chosen once per call.  Both give the same terms.
+Substitution has its own kernel (``_substitute_rows``), nested Horner on
+polynomials kept packed from the first product to the last.  Each
+polynomial is split into rows by every variable but one, x, and each row
+is one big integer: the row evaluated at x = 2^slot (Kronecker
+substitution), so that CPython's integer multiply forms every row product.
+Reduction modulo one generator led by a pure power c * v^r rewrites whole
+rows of v-degree at least r, and the rows are decoded once, at the end.
+The slot width comes from a bound on the final coefficients fixed before
+the first product, so the decoding is exact.  With no divisors the kernel is
+the plain ``ratpoly.substitute``; any other divisor list is a normal form
+of the plain substitution.
 
 The cylinders over ``x^n z = P(y)`` are principal, so reducing modulo one
 means dividing by its generator f, a Groebner basis under every order; the
@@ -42,11 +43,12 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import RingMismatchError
@@ -503,200 +505,345 @@ def substitute_reduced(
     division_basis: Sequence[MultiPoly],
     order: str = "grevlex",
 ) -> MultiPoly:
-    """Normal form of ``substitute(g, images)`` modulo the basis, by one kernel.
+    """Normal form of ``substitute(g, images)`` modulo the basis.
 
-    Nested Horner in ``g`` (last variable of ``g.ring`` outermost) makes every
-    large product "accumulator times a reduced image power", with gaps filled
-    by iterative square-and-multiply.  Products are formed on the packed
-    monomials of ``_PackedDivision`` (integers over one denominator) and each
-    is reduced at once by its heap division, pseudo-steps included; only
-    terms at or above the smallest leading key go on the heap.  A product of
-    at least ``_KRONECKER_PAIRS`` term pairs is a Kronecker substitution in
-    the variable of highest exponent among the images, a smaller one the
-    schoolbook loop; both give the same terms.  Widths come from a degree
-    bound of the inputs and double whenever a packed exponent overflows, in
-    either product or in the division.  Modulo a Groebner basis (a single
-    generator is one) the result is the normal form of the plain
-    substitution.
+    Two divisor lists take the packed kernel (``_substitute_rows``) alone:
+    none, which is the plain ``ratpoly.substitute``, and one generator whose
+    leading term in ``order`` is a pure power c * v^r, as ``x^n z - P(y)``
+    is in y under lex with y first (and under grevlex when n < deg P).  The
+    remainder modulo one generator depends only on its leading monomial, so
+    the kernel reduces rows of v-degree at least r in either order.  Every
+    other list gives ``normal_form(substitute(g, images), division_basis,
+    order)``: the kernel without divisors, then the heap division.  Modulo
+    a Groebner basis (a single generator is one) both are the unique normal
+    form of the plain substitution.  Key fields are sized from a degree bound
+    of the inputs and double whenever a packed exponent overflows.
     """
     if order not in ("grevlex", "lex"):
         raise ValueError(f"unknown term order {order!r}")
     ring = division_basis[0].ring if division_basis else next(iter(images.values())).ring
     used = {v: images[v] for i, v in enumerate(g.ring) if any(exp[i] for exp in g.terms)}
     used = {v: p if p.ring == ring else ring_embed(p, ring) for v, p in used.items()}
-    degrees = [used[v].total_degree() if v in used else 0 for v in g.ring]
+    monic = _monic_lead(division_basis, order) if division_basis else None
+    degrees = [max(map(sum, used[v].terms), default=0) if v in used else 0 for v in g.ring]
     bound = max(
         [sum(map(operator.mul, exp, degrees)) for exp in g.terms]
         + [p.total_degree() for p in division_basis] + [1]
     )
-    return _at_fitting_width(
-        bound, lambda width: _substitute_packed(g, used, division_basis, ring, order, width)
-    )
+    result = _at_fitting_width(bound, lambda width: _substitute_rows(g, used, ring, monic, width))
+    if division_basis and monic is None:
+        return normal_form(result, division_basis, order)
+    return result
 
 
-# Products of at least this many term pairs go through Kronecker substitution.
-# Below it the schoolbook loop is faster: packing and unpacking a few short
-# rows costs more than the pairs it saves.
-_KRONECKER_PAIRS = 4096
-# ... if their packed rows hold at most this many slots per term.  Sparse rows
-# make the integer products and their unpacking cost far more than the pairs.
-_KRONECKER_SLOTS_PER_TERM = 2
+def _monic_lead(basis: Sequence[MultiPoly], order: str):
+    """``(v, r, tail, s)`` when ``basis`` is one generator f whose leading term
+    is c * v^r, else None.
 
-
-def _schoolbook_product(a: dict, b: dict, one: int) -> dict:
-    """``a * b`` on packed keys, one term pair at a time, without zeros."""
-    shifted = [(k - one, c) for k, c in b.items()]
-    out: dict = {}
-    get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in shifted:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _kronecker_product(a: dict, b: dict, packed: _PackedDivision, var: int) -> dict:
-    """``a * b`` on packed keys by Kronecker substitution in variable ``var``.
-
-    Equal to ``_schoolbook_product(a, b, packed.one)`` for nonzero ``a`` and
-    ``b``.  Each operand is split into rows by the rest of its monomials
-    (the key without ``var``).  A row whose exponents of ``var`` are
-    ``low, low + step, ...`` becomes one signed integer with the
-    coefficient of ``var^(low + i * step)`` in slot i, where ``step`` is the
-    gcd of those offsets over all rows of both operands.  The product of two
-    such integers is the product of the two rows, so CPython's big-integer
-    multiply does the inner convolution.  When the rows would hold more
-    than ``_KRONECKER_SLOTS_PER_TERM`` slots per term of the operands, the
-    schoolbook product is returned instead.  An output coefficient is a sum of
-    at most ``min(len a, len b)`` products, so slots of ``bits(max|a|) +
-    bits(max|b|) + bits(min(len a, len b)) + 2`` bits hold every partial sum
-    with its sign: row products are added per key of their lowest term and
-    each sum is unpacked exactly, lowest slot first.  Keys are formed as in
-    the schoolbook product, so the guard bits flag the same overflows.
+    With v = V / s, f * s^r / c is V^r - tail: monic in V, with the integer
+    ``tail`` ({exponent: int}, V-degrees below r) over the common
+    denominator s of the monic tail's coefficients.
     """
-    shift, mask, base, weight, one = (
-        packed.shifts[var], packed.mask, packed.base, packed.weights[var], packed.one
-    )
-    slot = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
-            + min(len(a), len(b)).bit_length() + 2)
-
-    def split(terms: dict) -> dict:
-        """{key without var: {exponent of var: coefficient}}"""
-        rows: dict = {}
-        for k, c in terms.items():
-            e = abs(((k >> shift) & mask) - base)
-            rows.setdefault(k - e * weight, {})[e] = c
-        return rows
-
-    rows_a, rows_b = split(a), split(b)
-    step = spans = 0
-    for row in (*rows_a.values(), *rows_b.values()):
-        low = min(row)
-        step = gcd(step, *map((-low).__add__, row))
-        spans += max(row) - low
-    step = step or 1
-    slots = spans // step + len(rows_a) + len(rows_b)
-    if slots > _KRONECKER_SLOTS_PER_TERM * (len(a) + len(b)):
-        return _schoolbook_product(a, b, one)
-
-    def pack(rows: dict) -> list:
-        """[(key of the row's lowest term, the row as one integer)]"""
-        out = []
-        for rest, row in rows.items():
-            low, value = min(row), 0
-            for e, c in row.items():
-                value += c << (slot * ((e - low) // step))
-            out.append((rest + low * weight, value))
-        return out
-
-    sums: dict = {}
-    get = sums.get
-    packed_a = pack(rows_a)
-    for key_b, value_b in pack(rows_b):
-        key_b -= one
-        for key_a, value_a in packed_a:
-            k = key_a + key_b
-            sums[k] = get(k, 0) + value_a * value_b
-    out: dict = {}
-    get = out.get
-    stride, digits, half = step * weight, (1 << slot) - 1, 1 << (slot - 1)
-    for k, value in sums.items():
-        while value:
-            c = value & digits
-            if c >= half:
-                c -= digits + 1
-            if c:
-                out[k] = get(k, 0) + c
-            value = (value - c) >> slot
-            k += stride
-    return {k: c for k, c in out.items() if c}
+    if len(basis) != 1:
+        return None
+    f = basis[0]
+    lead = max(f.terms) if order == "lex" else max(f.terms, key=ORDER_KEYS[order])
+    c = f.terms[lead]
+    powers = [i for i, e in enumerate(lead) if e]
+    if len(powers) != 1:
+        return None
+    v = powers[0]
+    r = lead[v]
+    if abs(c) == 1 and all(a.denominator == 1 for a in f.terms.values()):
+        sign = -c.numerator
+        return v, r, {e: sign * a.numerator for e, a in f.terms.items() if e != lead}, 1
+    rest = {e: -a / c for e, a in f.terms.items() if e != lead}
+    s = lcm(*(a.denominator for a in rest.values()))
+    return v, r, {e: int(a * s ** (r - e[v])) for e, a in rest.items()}, s
 
 
-def _substitute_packed(g, base_images, division_basis, ring, order, width) -> MultiPoly:
-    packed = _PackedDivision(len(ring), order, width, division_basis)
-    one, guard, reduce = packed.one, packed.guard, packed.reduce
-    # the variable of highest exponent among the images carries the packing
-    var = max(
-        range(len(ring)),
-        key=lambda i: max((e[i] for p in base_images.values() for e in p.terms), default=0),
-        default=0,
-    )
+_denominator = operator.attrgetter("denominator")
 
-    def mul(a, b):
-        (ta, da), (tb, db) = a, b
-        if len(ta) * len(tb) < _KRONECKER_PAIRS or not ring:
-            out = _schoolbook_product(ta, tb, one)
+
+def _numerators(terms: Mapping, keys: list, v: Optional[int], s: int) -> tuple[dict, int]:
+    """``(packed, d)``: the terms with v = V / s as integers over their least
+    common denominator d, by packed key: one-slot segments."""
+    if s == 1:
+        d = lcm(*map(_denominator, terms.values()))
+        return {sum(map(operator.mul, e, keys)): c.numerator * (d // c.denominator)
+                for e, c in terms.items()}, d
+    dens = {e: c.denominator * s ** e[v] for e, c in terms.items()}
+    d = lcm(*dens.values())
+    return {sum(map(operator.mul, e, keys)): c.numerator * (d // dens[e])
+            for e, c in terms.items()}, d
+
+
+def _substitute_rows(g: MultiPoly, images: dict, ring: tuple, monic, width: int) -> MultiPoly:
+    """``substitute(g, images)`` in ``ring``, reduced modulo ``monic``
+    (``_monic_lead``) when given: Horner on rows evaluated at x = 2^slot
+    (``_Rows``), decoded once at the end.
+
+    x is the variable other than v of highest exponent among the images.
+    Keys pack each exponent in a ``width``-bit field with a guard bit, x
+    lowest and v highest.  Every image becomes an integer numerator over one
+    denominator, in V = s v when reducing, and each coefficient of ``g`` is
+    scaled so that substituting the numerators gives the result times the
+    least common denominator ``den`` of the terms.
+
+    x -> 2^slot is a ring map and rows move whole, so each final segment is
+    its true row at 2^slot, and its signed digits are the coefficients once
+    every final numerator is below 2^(slot - 1) in size; intermediate slots
+    may exceed that.  Without reduction the numerators are bounded by the
+    norm of the scaled ``g`` at the images' norms.  Reduction is a ring map
+    too, so the bound may reduce the images first.  ``growth[d]`` bounds the
+    norm of the remainder of V^d times a monomial: 1 below r, else the
+    tail's norms weighted by ``growth`` at the degrees one rewrite leaves.
+    Each image's norm is taken after reduction, and each term of ``g``
+    gains the largest ``growth`` up to the V-degree its product of reduced
+    images can reach.
+    """
+    v, r, tail, s = monic or (None, 0, {}, 1)
+    names, n = g.ring, len(ring)
+    exps = [e for p in images.values() for e in p.terms]
+    highest = list(map(max, *exps)) if len(exps) > 1 else list(exps[0]) if exps else [0] * n
+    if monic:
+        highest[v] = -1
+    top = max(highest, default=-1)
+    x = highest.index(top) if top >= 0 else None
+    shifts, shift = [0] * n, 0 if x is None else width
+    for i in range(n):
+        if i != x and i != v:
+            shifts[i], shift = shift, shift + width
+    if monic:
+        shifts[v] = shift
+    keys = [1 << h for h in shifts]
+    fieldmask = (1 << width) - 1
+
+    # the images' numerators, denominators, norms and V-degrees, by position in g.ring
+    packed, dens, norms, degrees = {}, [1] * len(names), [1] * len(names), {}
+    for i, name in enumerate(names):
+        if name in images:
+            packed[name], dens[i] = _numerators(images[name].terms, keys, v, s)
+            norms[i] = sum(map(abs, packed[name].values()))
+            if monic:
+                degrees[i] = (max(packed[name], default=0) >> shift) & fieldmask
+    gterms = g.terms
+    if dens.count(1) == len(dens):
+        den = lcm(*map(_denominator, gterms.values()))
+        coefficients = [(e, c.numerator * (den // c.denominator)) for e, c in gterms.items()]
+    else:
+        term_dens = [c.denominator * prod(map(pow, dens, e)) for e, c in gterms.items()]
+        den = lcm(*term_dens)
+        coefficients = [(e, c.numerator * (den // d)) for (e, c), d in zip(gterms.items(), term_dens)]
+    tail_terms = _numerators(tail, keys, v, 1)[0]
+    if monic:
+        weights: dict = {}
+        for e, c in tail.items():
+            weights[e[v]] = weights.get(e[v], 0) + abs(c)
+        caps = [0] * len(names)
+        for i, d in degrees.items():
+            caps[i] = min(d, r - 1)
+        depths = [sum(map(operator.mul, e, caps)) for e in gterms]
+        growth = [1] * r
+        for k in range(r, max([*degrees.values(), *depths, 0]) + 1):
+            growth.append(sum(w * growth[k - r + j] for j, w in weights.items()))
+        envelope = list(itertools.accumulate(growth, max))
+        for i, d in degrees.items():
+            if d >= r:
+                norms[i] = sum(growth[(k >> shift) & fieldmask] * abs(c)
+                               for k, c in packed[names[i]].items())
+        bound = sum(abs(a) * prod(map(pow, norms, e)) * envelope[depth]
+                    for (e, a), depth in zip(coefficients, depths))
+    else:
+        bound = sum(abs(a) * prod(map(pow, norms, e)) for e, a in coefficients)
+    slot = bound.bit_length() + 1
+
+    xmask = fieldmask if x is not None else 0
+    step = 0  # the gcd of the offsets of x-exponents within each row of each polynomial
+    for terms in (tail_terms, *packed.values()):
+        first: dict = {}
+        for k in terms:
+            step = gcd(step, k - first.setdefault(k | xmask, k))
+    kernel = _Rows(slot, step or 1, xmask, sum(keys) << (width - 1), fieldmask, shift, r,
+                   tail_terms, packed, names)
+    result, _ = kernel.merge(*kernel.horner(coefficients, len(names) - 1)) if coefficients else ({}, 1)
+    return kernel.decode(result, ring, shifts, x, den, v, s)
+
+
+class _Rows:
+    """Arithmetic on polynomials stored as rows evaluated at x = 2^slot.
+
+    A polynomial is ``(rows, span)``.  ``rows`` maps the key of a segment
+    (its monomial without x, plus its lowest x-exponent e0 in x's field) to
+    one integer: the segment as a polynomial in x^step evaluated at 2^slot,
+    so that slot i holds the coefficient of x^(e0 + i * step).  ``step`` is
+    the gcd of the in-row x-offsets of the images and the tail, and ``span``
+    bounds the length in slots of every segment.  A product is one integer
+    multiply and one keyed add per pair of segments; reduction rewrites each
+    row of V-degree at least r as the row times the tail, highest first.
+    Segments of one row whose e0 agree modulo ``step`` are merged by
+    shifting after each product and before decoding, where they may
+    overlap, and where merging pads at most as many zero slots as it joins.
+    Images and the tail start as one-slot segments, one per term.
+    """
+
+    __slots__ = ("slot", "step", "xmask", "guard", "fieldmask", "vshift", "r", "tail",
+                 "tail_span", "images", "names", "powers")
+
+    def __init__(self, slot, step, xmask, guard, fieldmask, vshift, r, tail, images, names):
+        self.slot, self.step, self.xmask, self.guard = slot, step, xmask, guard
+        self.fieldmask, self.vshift, self.r, self.names = fieldmask, vshift, r, names
+        self.images, self.powers = images, {}
+        tail, self.tail_span = self.merge(tail, 1)
+        self.tail = [(k - (r << vshift), c) for k, c in tail.items()]
+
+    def merge(self, terms: dict, span: int):
+        """Merge the segments of each row and class modulo ``step`` that may
+        overlap, or whose merge pads at most as many zero slots as it joins;
+        drop zeros."""
+        if len(terms) < 2:
+            return ({} if 0 in terms.values() else terms), span
+        step, xmask = self.step, self.xmask
+        if step == 1:
+            classes = [k | xmask for k in terms]
         else:
-            out = _kronecker_product(ta, tb, packed, var)
-        if functools.reduce(operator.or_, out, 0) & guard:
+            classes = [k - (e0 := k & xmask) + e0 % step for k in terms]
+        if len(set(classes)) == len(classes):
+            if 0 in terms.values():
+                return {k: c for k, c in terms.items() if c}, span
+            return terms, span
+        slot = self.slot
+        out, reach, longest = {}, step * (span - 1), span
+        last = start = end = value = None
+        for c, k in sorted(zip(classes, terms)):
+            if c == last and k - end <= step * ((end - start) // step + span + 2):
+                value += terms[k] << (slot * ((k - start) // step))
+                if k + reach > end:
+                    end = k + reach
+                continue
+            if value:
+                out[start] = value
+                if (end - start) // step >= longest:
+                    longest = (end - start) // step + 1
+            last, start, end, value = c, k, k + reach, terms[k]
+        if value:
+            out[start] = value
+            if (end - start) // step >= longest:
+                longest = (end - start) // step + 1
+        return out, longest
+
+    def reduce(self, terms: dict, span: int) -> int:
+        """Rewrite the rows of V-degree at least r in place, highest first;
+        returns the bound on segment lengths afterwards, 0 if none was."""
+        vshift, r, guard, tail = self.vshift, self.r, self.guard, self.tail
+        top = (max(terms, default=0) >> vshift) & self.fieldmask
+        if top < r:
+            return 0
+        for d in range(top, r - 1, -1):
+            low = d << vshift
+            for k in [k for k in terms if k >= low]:
+                value = terms.pop(k)
+                if k & guard:
+                    raise _FieldOverflow
+                if value:
+                    for tk, tc in tail:
+                        t = k + tk
+                        terms[t] = terms.get(t, 0) + value * tc
+            span += self.tail_span - 1
+        if functools.reduce(operator.or_, terms, 0) & guard:
             raise _FieldOverflow
-        return reduce(out, da * db)
+        return span
 
-    def add(a, b):  # ``a`` is a fresh product, summed into in place
-        (ta, da), (tb, db) = a, b
-        den = lcm(da, db)
-        if den != da:
-            m = den // da
-            for k in ta:
-                ta[k] *= m
-        m = den // db
-        for k, c in tb.items():
-            v = ta.get(k, 0) + c * m
-            if v:
-                ta[k] = v
-            else:
-                del ta[k]
-        return ta, den
+    def mul(self, a, b):
+        (ta, sa), (tb, sb) = a, b
+        if sa == 1 and len(ta) == 1 and 0 in ta:  # a constant: the rows of b, scaled
+            c = ta[0]
+            return {k: c * value for k, value in tb.items()}, sb
+        out: dict = {}
+        get = out.get
+        for kb, vb in tb.items():
+            for ka, va in ta.items():
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+        if functools.reduce(operator.or_, out, 0) & self.guard:
+            raise _FieldOverflow
+        span = sa + sb - 1
+        if self.r and (reduced := self.reduce(out, span)):
+            return self.merge(out, reduced)
+        if (sa == 1 and len(ta) == 1) or (sb == 1 and len(tb) == 1):
+            return out, span  # shifted copies of one operand's segments
+        return self.merge(out, span)
 
-    def power(name: str, e: int):
-        if (name, 1) not in cache:
-            cache[(name, 1)] = reduce(*packed.encode(base_images[name]))
-        if (name, e) not in cache:
-            result, square, rest = None, cache[(name, 1)], e
-            while rest:
-                if rest & 1:
-                    result = square if result is None else mul(result, square)
-                rest >>= 1
-                square = mul(square, square) if rest else square
-            cache[(name, e)] = result
-        return cache[(name, e)]
+    def decode(self, rows: dict, ring: tuple, shifts: list, x, den: int, v, s: int) -> MultiPoly:
+        """The polynomial of merged ``rows`` over ``den``, with V = s v: each
+        segment's signed digits, slot i at x-exponent e0 + i * step."""
+        slot, step, fieldmask = self.slot, self.step, self.fieldmask
+        digits, half = (1 << slot) - 1, 1 << (slot - 1)
+        out: dict = {}
+        for k, value in rows.items():
+            exp = [(k >> h) & fieldmask for h in shifts]
+            scale = s ** exp[v] if s != 1 else 1
+            if -half <= value < half:  # a single slot
+                out[tuple(exp)] = Fraction(value * scale, den) if den != 1 else Fraction(value * scale)
+                continue
+            i = k & fieldmask
+            while value:
+                c = value & digits
+                if c >= half:
+                    c -= digits + 1
+                if c:
+                    exp[x] = i
+                    out[tuple(exp)] = Fraction(c * scale, den) if den != 1 else Fraction(c * scale)
+                value = (value - c) >> slot
+                i += step
+        return MultiPoly._unchecked(ring, out)
 
-    def horner(terms: list, level: int):
+    @staticmethod
+    def add(a, b):
+        """``a + b``, summed into the fresh product ``a``; merged at the next
+        product."""
+        (ta, sa), (tb, sb) = a, b
+        get = ta.get
+        for k, value in tb.items():
+            ta[k] = get(k, 0) + value
+        return ta, max(sa, sb)
+
+    def power(self, name: str, e: int):
+        powers = self.powers
+        result = powers.get((name, e))
+        if result is not None:
+            return result
+        base = powers.get((name, 1))
+        if base is None:
+            rows, span = self.merge(self.images[name], 1)
+            reduced = self.r and self.reduce(rows, span)
+            base = powers[(name, 1)] = self.merge(rows, reduced) if reduced else (rows, span)
+            if e == 1:
+                return base
+        result, square, rest = None, base, e
+        while rest:
+            if rest & 1:
+                result = square if result is None else self.mul(result, square)
+            rest >>= 1
+            square = self.mul(square, square) if rest else square
+        powers[(name, e)] = result
+        return result
+
+    def horner(self, terms: list, level: int):
+        """Nested Horner in the variables of g, last outermost."""
         if level < 0:
-            c = terms[0][1]
-            return {one: c.numerator}, c.denominator
+            return {0: terms[0][1]}, 1
         groups: dict[int, list] = {}
         for exp, c in terms:
             groups.setdefault(exp[level], []).append((exp, c))
+        if len(groups) == 1 and 0 in groups:
+            return self.horner(terms, level - 1)
         degrees = sorted(groups, reverse=True)
-        acc = horner(groups[degrees[0]], level - 1)
+        name = self.names[level]
+        acc = self.horner(groups[degrees[0]], level - 1)
         for hi, lo in zip(degrees, degrees[1:]):
-            acc = add(mul(acc, power(g.ring[level], hi - lo)), horner(groups[lo], level - 1))
-        return mul(acc, power(g.ring[level], degrees[-1])) if degrees[-1] else acc
-
-    cache: dict = {}
-    terms, den = reduce(*horner(list(g.terms.items()), len(g.ring) - 1)) if g.terms else ({}, 1)
-    return packed.decode(ring, terms, den)
+            acc = self.add(self.mul(acc, self.power(name, hi - lo)), self.horner(groups[lo], level - 1))
+        return self.mul(acc, self.power(name, degrees[-1])) if degrees[-1] else acc
 
 
 def jacobian_smooth(f: MultiPoly) -> bool:
@@ -877,7 +1024,11 @@ def _remainder_by_generator(g, images, f: MultiPoly, v: str, minus=None) -> Mult
     g = ring_embed(g, _elimination_ring(g.ring, v))
     result = substitute_reduced(g, dict(images), divisors, "lex")
     if minus is not None:
-        result = normal_form(result - ring_embed(minus, ring), divisors, "lex")
+        minus = ring_embed(minus, ring)
+        result = result - minus
+        # the result has v-degrees below deg_v f, so only ``minus`` can need dividing
+        if any(exp[0] >= f.degree_in(v) for exp in minus.terms):
+            result = normal_form(result, divisors, "lex")
     return ring_embed(result, f.ring)
 
 
@@ -895,8 +1046,11 @@ def round_trip_residual(
     A single divisor f is a Groebner basis under every monomial order, so
     when f is monic in a variable v (see ``_elimination_variable``) the
     residual is the remainder in f's elimination order instead of
-    ``order`` (``_remainder_by_generator``).  The result is returned in the
-    divisors' ring.
+    ``order`` (``_remainder_by_generator``); the packed kernel reduces that
+    composite while it substitutes.  So does it for a single f led by a
+    pure power in ``order``.  Every other divisor list, two generators or
+    more included, takes the normal form of the plain substitution.  The
+    result is returned in the divisors' ring.
     """
     v = _elimination_variable(divisors[0]) if len(divisors) == 1 else None
     if v is not None:

@@ -1,6 +1,20 @@
 import re
 from collections import defaultdict
 
+from hypothesis import settings
+
+# ``pytest --hypothesis-profile=ci`` fuzzes the properties that use ``examples``
+# with this many examples each.
+CI_EXAMPLES = 500
+settings.register_profile("ci", max_examples=CI_EXAMPLES)
+
+
+def examples(count: int) -> settings:
+    """Property settings: ``count`` examples and no deadline, or the loaded
+    profile's examples when it asks for at least ``CI_EXAMPLES``."""
+    loaded = settings.default.max_examples
+    return settings(max_examples=loaded if loaded >= CI_EXAMPLES else count, deadline=None)
+
 
 def naive_division(f, divisors, order="grevlex"):
     """Textbook multivariate division in plain ``MultiPoly`` arithmetic.

@@ -10,15 +10,15 @@ the claim holds (images move by multiples of f), and an added polynomial
 breaks it exactly when the oracle finds it outside (f).
 """
 
-from conftest import naive_division, substitute_oracle
-from hypothesis import example, given, settings, strategies as st
+from conftest import examples, naive_division, substitute_oracle
+from hypothesis import example, given, strategies as st
 
 from danielewski import ideals
 from danielewski.ideals import IdealPresentation, groebner_basis, round_trip_residual
 from danielewski.ratpoly import MultiPoly, poly_from_str, ring_embed
 
 XYZ = ("x", "y", "z")
-CLAIMS = settings(max_examples=40, deadline=None)
+CLAIMS = examples(40)
 
 
 def p(text, ring=XYZ):

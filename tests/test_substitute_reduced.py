@@ -6,19 +6,21 @@ remainder term for term for any divisor list, Groebner basis or not, since
 both take the largest term first and the first divisor that applies.
 ``substitute_reduced`` reduces while it substitutes, so it must match the
 oracle's remainder of the per-term substitution (``substitute_oracle``)
-modulo a Groebner basis, where the remainder is unique.  The kernel's
-Kronecker product must equal its schoolbook product, and the division with
-its heap floor the heap loop without one (``reference_reduce``).
+modulo a Groebner basis, where the remainder is unique.  Its rows evaluated
+at x = 2^slot must decode to the oracle's terms for coefficients far wider
+than a slot's share of machine words, with every final numerator inside the
+slot width, and the division with its heap floor must match the heap loop
+without one (``reference_reduce``).
 """
 
-import contextlib
 import heapq
+import time
 from fractions import Fraction
-from math import comb, gcd, inf
+from math import comb, gcd
 
-from conftest import naive_division, substitute_oracle
+from conftest import examples, naive_division, substitute_oracle
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from danielewski import ideals
 from danielewski.ideals import (
@@ -33,7 +35,7 @@ from danielewski.ratpoly import MultiPoly, poly_from_str, substitute
 
 XYZ = ("x", "y", "z")
 HALVES = [Fraction(k, 2) for k in range(-5, 6, 2)]
-KERNEL = settings(max_examples=40, deadline=None)
+KERNEL = examples(40)
 
 
 def p(text, ring=XYZ):
@@ -154,10 +156,26 @@ IDENTITY = {v: p(v) for v in XYZ}
 
 def test_exponent_1500_does_not_recurse():
     basis = [p("x*z - y^2 + 1")]  # leading term y^2 in grevlex
+    assert ideals._monic_lead(basis, "grevlex")[:2] == (1, 2)  # reduced in the kernel
     assert substitute_reduced(p("x^1500"), IDENTITY, basis) == p("x^1500")
-    # y^1500 = (x z + 1)^750 modulo the generator
+    # y^1500 = (x z + 1)^750 modulo the generator; its middle coefficient
+    # C(750, 375) has 745 bits
     expected = MultiPoly(XYZ, {(k, 0, k): comb(750, k) for k in range(751)})
-    assert substitute_reduced(p("y^1500"), IDENTITY, basis) == expected
+    result = substitute_reduced(p("y^1500"), IDENTITY, basis)
+    assert result == expected
+    assert max(c.numerator.bit_length() for c in result.terms.values()) == 745
+
+
+def spy_widths(mp: pytest.MonkeyPatch) -> list:
+    """The key-field width of every run of the kernel, in order."""
+    widths, kernel = [], ideals._substitute_rows
+
+    def spy(*args):
+        widths.append(args[-1])
+        return kernel(*args)
+
+    mp.setattr(ideals, "_substitute_rows", spy)
+    return widths
 
 
 def test_exponent_wider_than_the_packed_field(monkeypatch):
@@ -167,14 +185,7 @@ def test_exponent_wider_than_the_packed_field(monkeypatch):
     # whose square would carry into the x field.  The guard bit must catch
     # both and the kernel rerun with wider fields.
     xy = ("x", "y")
-    widths = []
-    packed = ideals._substitute_packed
-
-    def spy(*args):
-        widths.append(args[-1])
-        return packed(*args)
-
-    monkeypatch.setattr(ideals, "_substitute_packed", spy)
+    widths = spy_widths(monkeypatch)
     for g, image, expected in (("x^5", "x", "y^1500"), ("x^2", "x*y^250", "y^1100")):
         widths.clear()
         imgs = {"x": p(image, xy), "y": p("y", xy)}
@@ -183,120 +194,180 @@ def test_exponent_wider_than_the_packed_field(monkeypatch):
         assert widths == [10, 20]
 
 
-# -- the products of the kernel ----------------------------------------------
-
-# Fields of 6 bits hold exponents up to 31; the sum of two such exponents
-# reaches the guard bit, which both products must set alike.
-WIDTH = 6
-TOP = (1 << (WIDTH - 1)) - 1
-wide = st.integers(-(1 << 70), 1 << 70).filter(bool)
-coefficients = wide | small_ints | st.sampled_from([(1 << 64) + 1, -(1 << 64) - 1])
-
-
-@contextlib.contextmanager
-def every_product_packed():
-    """The kernel with every product of a nonempty ring packed, however small
-    or sparse its operands."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals, "_KRONECKER_PAIRS", 1)
-        mp.setattr(ideals, "_KRONECKER_SLOTS_PER_TERM", inf)
-        yield
-
-
-@st.composite
-def packed_operands(draw):
-    n = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, TOP)] * n)
-    operand = st.dictionaries(exps, coefficients, min_size=1, max_size=12)
-    return n, draw(operand), draw(operand)
-
-
-@settings(max_examples=100, deadline=None)
-@given(packed_operands(), st.sampled_from(["grevlex", "lex"]))
-@example((1, {(TOP,): 1}, {(TOP,): -1}), "lex")
-@example((2, {(TOP, 0): 3, (0, TOP): -5}, {(TOP, TOP): 1 << 70}), "grevlex")
-@example((3, {(1, 2, 3): -(1 << 65)}, {(0, 0, 0): 7, (2, 0, 0): -1, (4, 0, 0): 1}), "lex")
-def test_kronecker_product_equals_the_schoolbook_product(operands, order):
-    n, a, b = operands
-    packed = ideals._PackedDivision(n, order, WIDTH)
-    ka = {packed.key(e): c for e, c in a.items()}
-    kb = {packed.key(e): c for e, c in b.items()}
-    expected = ideals._schoolbook_product(ka, kb, packed.one)
-    with every_product_packed():
-        for var in range(n):
-            assert ideals._kronecker_product(ka, kb, packed, var) == expected
-
-
-def test_products_past_the_field_set_the_guard_bit():
-    packed = ideals._PackedDivision(2, "lex", WIDTH)
-    a = {packed.key((TOP, i)): i + 1 for i in range(3)}
-    with every_product_packed():
-        product = ideals._kronecker_product(a, a, packed, 0)
-    assert product == ideals._schoolbook_product(a, a, packed.one)
-    assert product and all(k & packed.guard for k in product)
-
-
 def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
     # Modulo x - y^300 in lex the image of x reduces to the 70 terms
-    # y^300..y^369.  Its square has 4,900 term pairs, so it is a Kronecker
-    # product, and its exponents up to 738 exceed the 10-bit fields sized from
-    # the inputs: the guard bit must catch them and the kernel rerun wider.
+    # y^300..y^369: one row, packed along y (the only variable but x) into
+    # one integer.  Its square is one pair of segments, and its lowest
+    # exponent 600 exceeds the 10-bit fields sized from the inputs: the guard
+    # bit must catch it and the kernel rerun wider.
     xy = ("x", "y")
-    widths, kronecker = [], []
-    packed, product = ideals._substitute_packed, ideals._kronecker_product
+    widths, pairs, mul = spy_widths(monkeypatch), [], ideals._Rows.mul
 
-    def spy(*args):
-        widths.append(args[-1])
-        return packed(*args)
+    def counted(self, a, b):
+        pairs.append(len(a[0]) * len(b[0]))
+        return mul(self, a, b)
 
-    def counted(*args):
-        kronecker.append(args[-1])
-        return product(*args)
-
-    monkeypatch.setattr(ideals, "_substitute_packed", spy)
-    monkeypatch.setattr(ideals, "_kronecker_product", counted)
+    monkeypatch.setattr(ideals._Rows, "mul", counted)
     image = p(" + ".join(f"x*y^{i}" for i in range(70)), xy)
     result = substitute_reduced(p("x^2", xy), {"x": image, "y": p("y", xy)},
                                 [p("x - y^300", xy)], "lex")
     assert result == p(" + ".join(f"y^{300 + i}" for i in range(70)), xy) ** 2
     assert widths == [10, 20]
-    assert kronecker == [1, 1]  # packed along y, the highest exponent of the images
+    assert pairs and set(pairs) == {1}  # each product is one pair of segments
+
+
+# -- the rows of the kernel -----------------------------------------------------
+
+# Coefficients up to 2^70 in size: slots wider than two machine words.
+wide = st.integers(-(1 << 70), 1 << 70).filter(bool)
+coefficients = wide | small_ints | st.sampled_from([(1 << 64) + 1, -(1 << 64) - 1])
+wide_images = st.fixed_dictionaries({v: polys(3, 4, coefficients) for v in XYZ})
+
+
+@st.composite
+def pure_power_generators(draw, order: str):
+    """c v^r plus a tail with rational coefficients that c v^r leads in
+    ``order``."""
+    v = draw(st.sampled_from(range(3)))
+    r = draw(st.integers(1, 3))
+    lead = tuple(r if i == v else 0 for i in range(3))
+    c = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+                              Fraction(1, 2), Fraction(-2, 3)]))
+    if order == "lex":  # variables before v absent, and v below r
+        low = st.tuples(*[st.integers(0, 3)] * 3).filter(
+            lambda e: e[v] < r and not any(e[:v]))
+    else:
+        low = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) < r)
+    tail = draw(st.dictionaries(low, st.fractions(-3, 3, max_denominator=4).filter(bool),
+                                min_size=1, max_size=4))
+    return MultiPoly(XYZ, {**tail, lead: c})
 
 
 @KERNEL
-@given(outer, images, generators, st.sampled_from(["grevlex", "lex"]))
-def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, f, order):
-    with every_product_packed():
-        assert_matches_oracle(g, imgs, [with_leading_coefficient(f, 1, order)], order)
+@given(outer, wide_images, st.sampled_from(["grevlex", "lex"]), st.data())
+def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, order, data):
+    assert substitute(g, imgs) == substitute_oracle(g, imgs)
+    f = data.draw(pure_power_generators(order))
+    assert_matches_oracle(g, imgs, [f], order)
+
+
+@KERNEL
+@given(outer, images, st.sampled_from(["grevlex", "lex"]), st.data())
+def test_pure_power_leads_with_rational_tails(g, imgs, order, data):
+    # v = V / s makes the generator monic with an integer tail; its leading
+    # coefficient need not be 1, and s is 1 only for an integral monic tail.
+    f = data.draw(pure_power_generators(order))
+    v, r, tail, s = ideals._monic_lead([f], order)
+    assert f.terms[tuple(r if i == v else 0 for i in range(3))]  # led by c v^r
+    (lead, c), = [(e, c) for e, c in f.terms.items() if e[v] == r]
+    scaled = {e: a * s ** (r - e[v]) / c for e, a in f.terms.items() if e != lead}
+    assert all(a.denominator == 1 for a in scaled.values())
+    assert tail == {e: -int(a) for e, a in scaled.items()}
+    assert_matches_oracle(g, imgs, [f], order)
+
+
+@KERNEL
+@given(outer, wide_images, st.sampled_from(["grevlex", "lex", None]), st.data())
+def test_slot_width_bounds_every_final_numerator(g, imgs, order, data):
+    # The digits decode exactly only if every final numerator, over the
+    # kernel's denominator and in V = s v, is below 2^(slot - 1) in size.
+    basis = [data.draw(pure_power_generators(order))] if order else []
+    seen, decode = [], ideals._Rows.decode
+
+    def spy(self, rows, ring, shifts, x, den, v, s):
+        seen.append((self.slot, den, v, s))
+        return decode(self, rows, ring, shifts, x, den, v, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals._Rows, "decode", spy)
+        result = substitute_reduced(g, imgs, basis, order or "grevlex")
+    expected = substitute_oracle(g, imgs)
+    if basis:
+        expected = naive_division(expected, basis, order)[1]
+    assert result == expected
+    (slot, den, v, s), = seen
+    for exp, c in expected.terms.items():
+        numerator = c * den / s ** (exp[v] if v is not None else 0)
+        assert numerator.denominator == 1
+        assert abs(numerator.numerator) < 1 << (slot - 1)
+
+
+def test_products_past_the_field_set_the_guard_bit():
+    # Fields of 6 bits hold exponents up to 31.  In the first product the
+    # one-slot rows x^20 * x^20 put their lowest x-exponent 40 past the field;
+    # in the second z^17 * z^20 carries the z field past its guard bit.  The
+    # run must stop with the overflow signal rather than carry into the next
+    # field, and the full call rerun wider.
+    g = p("a*b", ("a", "b"))
+    for imgs in ({"a": "x^20*y + x^18", "b": "x^20*z + x^18"},
+                 {"a": "x^25 + z^17", "b": "x + z^20"}):
+        images = {v: p(t) for v, t in imgs.items()}
+        with pytest.raises(ideals._FieldOverflow):
+            ideals._substitute_rows(g, images, XYZ, None, 6)
+        assert substitute(g, images) == substitute_oracle(g, images)
 
 
 @pytest.mark.parametrize("f, assignment", [
     (p("x^2*y + 3", ("x", "y")), {"x": MultiPoly.const((), 2), "y": MultiPoly.const((), -5)}),
     (p("x^2*y + x*z"), {"x": MultiPoly.zero(("t",))}),
 ])
-def test_empty_ring_and_zero_operands_take_the_schoolbook_path(f, assignment):
-    # Even with every other product packed: the empty ring has no variable to
-    # pack along, and a zero accumulator has no rows.
-    with every_product_packed():
-        assert substitute(f, assignment) == substitute_oracle(f, assignment)
+def test_empty_ring_and_zero_operands(f, assignment):
+    # The empty ring has no variable to pack along, and a zero image has no rows.
+    assert substitute(f, assignment) == substitute_oracle(f, assignment)
 
 
-def test_sparse_rows_take_the_schoolbook_path(monkeypatch):
-    # Rows with the x-exponents 0, 1 and 1023 would pack 3 terms into 1,024
-    # slots each; their integer products and unpacking cost hundreds of times
-    # the 9,216 term pairs (17 s against 0.07 s for twice these rows).
+@st.composite
+def runs(draw):
+    """A polynomial of runs of x-exponents: dense or strided rows up to 12
+    slots long, or one-slot segments far apart, several per monomial in y
+    and z."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        u, w = draw(st.sampled_from([0, 0, 1, 2])), draw(st.sampled_from([0, 0, 1]))
+        start = draw(st.sampled_from([0, 0, 1, 2, 30, 61]))
+        stride, length = draw(st.sampled_from([1, 2, 25])), draw(st.integers(1, 12))
+        for i in range(length):
+            terms[(start + stride * i, u, w)] = draw(small_ints)
+    return MultiPoly(XYZ, terms)
+
+
+@KERNEL
+@given(polys(2, 3, small_ints), st.fixed_dictionaries({v: runs() for v in XYZ}))
+def test_long_and_sparse_rows_match_the_oracle(g, imgs):
+    assert substitute(g, imgs) == substitute_oracle(g, imgs)
+    assert_matches_oracle(g, imgs, [p("x*z - y^2 + 1")])
+
+
+def test_a_long_row_times_segments_apart_overlaps():
+    # a is one row of 100 slots at the constant monomial; b has two one-slot
+    # segments 50 slots apart.  Their products overlap, so the product must
+    # carry the longer span and merge them before decoding.
+    xu = ("x", "u")
+    g = p("a*b", ("a", "b"))
+    imgs = {"a": MultiPoly(xu, {(i, 0): 1 for i in range(100)}), "b": p("u + x^50*u", xu)}
+    assert substitute(g, imgs) == substitute_oracle(g, imgs)
+
+
+def test_sparse_rows_stay_apart(monkeypatch):
+    # Rows with the x-exponents 0, 1 and 1023 keep 0..1 and 1023 in separate
+    # segments: merging them would pad 1,021 zero slots to join 3.  Packed
+    # whole, their integer products and unpacking cost hundreds of times the
+    # 9,216 term pairs.
     ring = ("x", "y", "s", "t")
     a = MultiPoly(ring, {(e, i, 0, 0): 1 for i in range(1024) for e in (0, 1, 1023)})
     b = MultiPoly(ring, {(e, 0, 0, 0): 1 for e in (0, 1, 1023)})
-    schoolbook, pairs = ideals._schoolbook_product, []
+    spans, merge = [], ideals._Rows.merge
 
-    def counted(x, y, one):
-        pairs.append(len(x) * len(y))
-        return schoolbook(x, y, one)
+    def counted(self, terms, span):
+        out = merge(self, terms, span)
+        spans.append(out[1])
+        return out
 
-    monkeypatch.setattr(ideals, "_schoolbook_product", counted)
+    monkeypatch.setattr(ideals._Rows, "merge", counted)
+    start = time.perf_counter()
     assert substitute(MultiPoly(("s", "t"), {(1, 1): 1}), {"s": a, "t": b}) == a * b
-    assert max(pairs) == 3072 * 3
+    assert time.perf_counter() - start < 1
+    assert max(spans) <= 3  # no segment spans the gap
 
 
 # -- the heap floor of the division -------------------------------------------
