@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Mapping, Optional
 
 from .errors import CocycleError, RingMismatchError, UnsupportedError
@@ -190,19 +190,39 @@ def h1_push(c: CechClass, s: MultiPoly) -> CechClass:
     """Push a class along multiplication of the coefficient sheaf by ``s``.
 
     Every part is multiplied by ``s`` (re-expanded at the part's location)
-    and renormalized to its principal part.
+    and renormalized to its principal part.  Only the Taylor coefficients of
+    ``s`` below the part's pole order reach the principal part, so only
+    those are computed (``_taylor_head``).
     """
     if s.is_zero():
         raise ValueError("push polynomial must be nonzero")
+    variable = c.curve.base_variable
     used = s.variables_used()
-    if any(name != c.curve.base_variable for name in used):
-        raise RingMismatchError(f"push polynomial must involve only {c.curve.base_variable!r}")
+    if any(name != variable for name in used):
+        raise RingMismatchError(f"push polynomial must involve only {variable!r}")
+    index = s.ring.index(variable) if variable in s.ring else None
+    powers = {(exp[index] if index is not None else 0): a for exp, a in s.terms.items()}
     parts = {}
     for key, g in c.parts.items():
-        pushed = g.times_poly(s).principal_part()
+        head = _taylor_head(powers, g.pole_order(), variable, g.center)
+        pushed = (g * head).principal_part()
         if not pushed.is_zero():
             parts[key] = pushed
     return CechClass(c.curve, parts)
+
+
+def _taylor_head(powers: Mapping[int, Fraction], count: int, variable: str, center) -> LaurentPoly:
+    """The Taylor coefficients below ``count`` at ``center`` of the polynomial
+    with coefficient ``powers[i]`` of ``variable^i``: the coefficient of
+    (variable - center)^j is the sum of C(i, j) center^(i - j) powers[i]."""
+    coefficients = [Fraction(0)] * count
+    for i, a in powers.items():
+        top = min(count - 1, i)
+        power = center ** (i - top)
+        for j in range(top, -1, -1):
+            coefficients[j] += a * comb(i, j) * power
+            power *= center
+    return LaurentPoly(variable, dict(enumerate(coefficients)), center)
 
 
 def divide_by_power(c: CechClass, k: int) -> CechClass:

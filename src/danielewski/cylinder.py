@@ -40,8 +40,8 @@ from .ideals import (
     IdealPresentation,
     IsoCertificate,
     PolyMap,
-    _remainder_by_generator,
     normal_form,
+    substitute_reduced,
     unchecked_certificate,
     verify_iso_certificate,
 )
@@ -360,13 +360,14 @@ def reexpress_on_cylinder(
     v = (y - y_0)/x^n; clearing the denominator moves x^a v^b t^c to
     x^(a + n(d - b)) v^b t^c, with d the v-degree, so the padded expression
     is x^N F with N = n d.  One reduced substitution of v -> y - y_0,
-    t -> w writes it in (x, y, z, w) modulo the generator f, in f's
-    elimination order (lex, y first).  There LT(f) = y^(deg P), so x^N times
-    a reduced polynomial is reduced, and normal forms are unique: the result
-    is x^N NF(F).  F is regular on the surface iff every x-exponent of the
-    result is at least N; lowering them by N and taking the grevlex normal
-    form gives the function.  Agreement with every chart expression is then
-    verified exactly (the charts are honest polynomial rings).
+    t -> w writes it in (x, y, z, w) modulo the generator f, divided as a
+    polynomial in y, in which f is monic of degree deg P.  x^N times a
+    remainder is a remainder, and remainders are unique: the result is x^N
+    times the remainder of F.  F is regular on the surface iff every
+    x-exponent of the result is at least N; lowering them by N and taking
+    the grevlex normal form gives the function.  Agreement with every chart
+    expression is then verified exactly (the charts are honest polynomial
+    rings).
     """
     chart_ring = chart_exprs[0].ring
     base = chart_exprs[0]
@@ -376,7 +377,7 @@ def reexpress_on_cylinder(
     x, y, w = (MultiPoly.var(CYLINDER_RING, name) for name in ("x", "y", "w"))
     f = cylinder_presentation(surface).generators[0]
     images = dict(zip(chart_ring, (x, y - y0, w)))
-    padded = _remainder_by_generator(_pad_x(base, (n, 0), clear_power), images, f, "y")
+    padded = substitute_reduced(_pad_x(base, (n, 0), clear_power), images, f)
     if any(exp[0] < clear_power for exp in padded.terms):
         raise RuntimeError("chart expression is not regular on the surface")
     lowered = {(exp[0] - clear_power, *exp[1:]): c for exp, c in padded.terms.items()}

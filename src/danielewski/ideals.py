@@ -21,18 +21,17 @@ polynomials kept packed from the first product to the last.  Each
 polynomial is split into rows by every variable but one, x, and each row
 is one big integer: the row evaluated at x = 2^slot (Kronecker
 substitution), so that CPython's integer multiply forms every row product.
-Reduction modulo one generator led by a pure power c * v^r rewrites whole
-rows of v-degree at least r, and the rows are decoded once, at the end.
 The slot width comes from a bound on the final coefficients fixed before
-the first product, so the decoding is exact.  With no divisors the kernel is
-the plain ``ratpoly.substitute``; any other divisor list is a normal form
-of the plain substitution.
+the first product, so the decoding is exact, and the rows are decoded once,
+at the end.
 
-The cylinders over ``x^n z = P(y)`` are principal, so reducing modulo one
-means dividing by its generator f, a Groebner basis under every order; the
-certificates compute no basis.  When f is monic in a variable v, as
-``x^n z - P(y)`` is in y, substitution and division run in lex order with v
-first, where the composites stay small (``_remainder_by_generator``).
+The kernel reduces modulo one generator f only, and in one way: f is
+divided as a polynomial in the first variable v in which it is monic, its
+top v-power a pure power c * v^r (``_monic_lead``; v = y for the cylinder
+generators ``x^n z - P(y)``).  The kernel rewrites whole rows of v-degree at
+least r while it substitutes.  The cylinders are principal, so a remainder
+modulo f decides membership in the ideal, and the certificates compute no
+basis: ``substitute_reduced`` and ``round_trip_residual`` take f itself.
 
 Everything is computed over exact rationals; a membership verdict is an
 unconditional identity ``f = sum(cofactor_i * generator_i)`` that third
@@ -499,61 +498,47 @@ def ideal_member_witness(
     return remainder.is_zero(), tuple(cofactors), remainder
 
 
-def substitute_reduced(
-    g: MultiPoly,
-    images: Mapping[str, MultiPoly],
-    division_basis: Sequence[MultiPoly],
-    order: str = "grevlex",
-) -> MultiPoly:
-    """Normal form of ``substitute(g, images)`` modulo the basis.
+def substitute_reduced(g: MultiPoly, images: Mapping[str, MultiPoly],
+                       f: Optional[MultiPoly] = None) -> MultiPoly:
+    """``substitute(g, images)``, reduced modulo ``f`` when it is given.
 
-    Two divisor lists take the packed kernel (``_substitute_rows``) alone:
-    none, which is the plain ``ratpoly.substitute``, and one generator whose
-    leading term in ``order`` is a pure power c * v^r, as ``x^n z - P(y)``
-    is in y under lex with y first (and under grevlex when n < deg P).  The
-    remainder modulo one generator depends only on its leading monomial, so
-    the kernel reduces rows of v-degree at least r in either order.  Every
-    other list gives ``normal_form(substitute(g, images), division_basis,
-    order)``: the kernel without divisors, then the heap division.  Modulo
-    a Groebner basis (a single generator is one) both are the unique normal
-    form of the plain substitution.  Key fields are sized from a degree bound
-    of the inputs and double whenever a packed exponent overflows.
+    Without ``f`` this is the plain ``ratpoly.substitute``.  With ``f`` it is
+    the remainder of the substitution divided by f as a polynomial in the
+    first variable v of f's ring in which f is monic (``_monic_lead``): the
+    one polynomial of v-degree below deg_v f that is congruent to it modulo
+    f.  For ``x^n z - P(y)``, v = y.  The packed kernel (``_substitute_rows``)
+    reduces while it substitutes, and the result lives in f's ring.  Key
+    fields are sized from a degree bound of the inputs and double whenever a
+    packed exponent overflows.
     """
-    if order not in ("grevlex", "lex"):
-        raise ValueError(f"unknown term order {order!r}")
-    ring = division_basis[0].ring if division_basis else next(iter(images.values())).ring
+    ring = f.ring if f is not None else next(iter(images.values())).ring
     used = {v: images[v] for i, v in enumerate(g.ring) if any(exp[i] for exp in g.terms)}
     used = {v: p if p.ring == ring else ring_embed(p, ring) for v, p in used.items()}
-    monic = _monic_lead(division_basis, order) if division_basis else None
+    monic = _monic_lead(f) if f is not None else None
     degrees = [max(map(sum, used[v].terms), default=0) if v in used else 0 for v in g.ring]
-    bound = max(
-        [sum(map(operator.mul, exp, degrees)) for exp in g.terms]
-        + [p.total_degree() for p in division_basis] + [1]
-    )
-    result = _at_fitting_width(bound, lambda width: _substitute_rows(g, used, ring, monic, width))
-    if division_basis and monic is None:
-        return normal_form(result, division_basis, order)
-    return result
+    bound = max([sum(map(operator.mul, exp, degrees)) for exp in g.terms]
+                + [f.total_degree() if f is not None else 0, 1])
+    return _at_fitting_width(bound, lambda width: _substitute_rows(g, used, ring, monic, width))
 
 
-def _monic_lead(basis: Sequence[MultiPoly], order: str):
-    """``(v, r, tail, s)`` when ``basis`` is one generator f whose leading term
-    is c * v^r, else None.
+def _monic_lead(f: MultiPoly):
+    """``(v, r, tail, s)`` for the first variable v (by index) of ``f.ring``
+    in which ``f`` is monic: its top v-power is one pure power c * v^r, r >= 1.
 
     With v = V / s, f * s^r / c is V^r - tail: monic in V, with the integer
     ``tail`` ({exponent: int}, V-degrees below r) over the common
-    denominator s of the monic tail's coefficients.
+    denominator s of the monic tail's coefficients.  Raises ``ValueError``
+    when ``f`` is monic in no variable.
     """
-    if len(basis) != 1:
-        return None
-    f = basis[0]
-    lead = max(f.terms) if order == "lex" else max(f.terms, key=ORDER_KEYS[order])
+    n = len(f.ring)
+    for v in range(n):
+        r = max((exp[v] for exp in f.terms), default=0)
+        lead = tuple(r if i == v else 0 for i in range(n))
+        if r and lead in f.terms and not any(exp[v] == r for exp in f.terms if exp != lead):
+            break
+    else:
+        raise ValueError(f"the generator {f} is monic in no variable of {f.ring}")
     c = f.terms[lead]
-    powers = [i for i, e in enumerate(lead) if e]
-    if len(powers) != 1:
-        return None
-    v = powers[0]
-    r = lead[v]
     if abs(c) == 1 and all(a.denominator == 1 for a in f.terms.values()):
         sign = -c.numerator
         return v, r, {e: sign * a.numerator for e, a in f.terms.items() if e != lead}, 1
@@ -938,10 +923,9 @@ class Claim:
     cofactor identity ``polynomial == cofactors[0] * generator + residual``:
     the quotient and remainder of the member in grevlex.  ``round_trip``
     claims store the remainder of the composite minus the identity
-    (``round_trip_residual``): in the generator's elimination order when it
-    is monic in a variable, else in grevlex.  Replaying them needs only
-    that division, never a basis computation.  A claim holds iff its
-    residual is zero.
+    (``round_trip_residual``), divided as a polynomial in the variable the
+    generator is monic in.  Replaying them needs only that division, never
+    a basis computation.  A claim holds iff its residual is zero.
     """
 
     name: str
@@ -991,73 +975,22 @@ def unchecked_certificate(forward: PolyMap, backward: PolyMap) -> IsoCertificate
     return IsoCertificate(forward=forward, backward=backward)
 
 
-def _elimination_variable(f: MultiPoly) -> Optional[str]:
-    """The first variable v of ``f.ring`` in which ``f`` is monic, else None.
-
-    Monic in v means that the top v-power of ``f`` is a pure power c * v^r
-    with r >= 1: no other term of ``f`` has v-degree r.  Its lex leading
-    term with v first is then c * v^r.
-    """
-    for i, v in enumerate(f.ring):
-        r = max((exp[i] for exp in f.terms), default=0)
-        top = [exp for exp in f.terms if exp[i] == r]
-        if r and top == [tuple(r if j == i else 0 for j in range(len(f.ring)))]:
-            return v
-    return None
-
-
-def _elimination_ring(ring: tuple[str, ...], v: str) -> tuple[str, ...]:
-    """``ring`` with ``v`` moved to the front, if it is there."""
-    return (v,) + tuple(u for u in ring if u != v) if v in ring else ring
-
-
-def _remainder_by_generator(g, images, f: MultiPoly, v: str, minus=None) -> MultiPoly:
-    """Remainder of ``substitute(g, images) - minus`` modulo ``f``, in ``f.ring``.
-
-    ``f`` is monic in ``v`` (``_elimination_variable``); the remainder is
-    taken in lex with v first and the other variables in ring order, for the
-    packed monomials, the Horner nesting of ``g`` and the division alike.
-    For ``x^n z - P(y)``, v = y and the remainder has y-degree below deg P.
-    """
-    ring = _elimination_ring(f.ring, v)
-    divisors = [ring_embed(f, ring)]
-    g = ring_embed(g, _elimination_ring(g.ring, v))
-    result = substitute_reduced(g, dict(images), divisors, "lex")
-    if minus is not None:
-        minus = ring_embed(minus, ring)
-        result = result - minus
-        # the result has v-degrees below deg_v f, so only ``minus`` can need dividing
-        if any(exp[0] >= f.degree_in(v) for exp in minus.terms):
-            result = normal_form(result, divisors, "lex")
-    return ring_embed(result, f.ring)
-
-
 def round_trip_residual(
-    outer: MultiPoly,
-    inner_images: Mapping[str, MultiPoly],
-    var: str,
-    divisors: Sequence[MultiPoly],
-    order: str = "grevlex",
+    outer: MultiPoly, inner_images: Mapping[str, MultiPoly], var: str, f: MultiPoly
 ) -> MultiPoly:
-    """Remainder of ``outer`` after ``inner_images``, minus ``var``, modulo ``divisors``.
+    """Remainder of ``outer`` after ``inner_images``, minus ``var``, modulo ``f``.
 
-    The composite is formed by ``substitute_reduced``; modulo a Groebner
-    basis the composite is the identity on ``var`` iff the result is zero.
-    A single divisor f is a Groebner basis under every monomial order, so
-    when f is monic in a variable v (see ``_elimination_variable``) the
-    residual is the remainder in f's elimination order instead of
-    ``order`` (``_remainder_by_generator``); the packed kernel reduces that
-    composite while it substitutes.  So does it for a single f led by a
-    pure power in ``order``.  Every other divisor list, two generators or
-    more included, takes the normal form of the plain substitution.  The
-    result is returned in the divisors' ring.
+    The composite is ``substitute_reduced(outer, inner_images, f)``, the
+    remainder in the first variable v in which f is monic.  ``var`` is its
+    own remainder unless it is v and deg_v f = 1; then it is v - f / c, c
+    the coefficient of v in f.  The composite is the identity on ``var``
+    modulo (f) iff the result is zero.  The result lives in f's ring.
     """
-    v = _elimination_variable(divisors[0]) if len(divisors) == 1 else None
-    if v is not None:
-        f = divisors[0]
-        return _remainder_by_generator(outer, inner_images, f, v, MultiPoly.var(f.ring, var))
-    composite = substitute_reduced(outer, dict(inner_images), divisors, order)
-    return normal_form(composite - MultiPoly.var(composite.ring, var), divisors, order)
+    identity = MultiPoly.var(f.ring, var)
+    if f.degree_in(var) == 1 and f.ring[_monic_lead(f)[0]] == var:
+        (exp,) = identity.terms
+        identity = identity - f * (1 / f.terms[exp])
+    return substitute_reduced(outer, inner_images, f) - identity
 
 
 def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
@@ -1065,10 +998,11 @@ def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
 
     Both presentations must have one generator, and every claim divides
     by it: a pullback's cofactor and residual are its grevlex quotient and
-    remainder.  The composition checks require, for each source variable w,
-    that substituting the forward images into backward.images[w] differs
-    from w by a member of the source ideal (and symmetrically for the
-    target).
+    remainder, and a round trip is ``round_trip_residual``, so a generator
+    monic in no variable raises ``ValueError``.  The composition checks
+    require, for each source variable w, that substituting the forward
+    images into backward.images[w] differs from w by a member of the source
+    ideal (and symmetrically for the target).
     """
     forward, backward = cert.forward, cert.backward
     if forward.source != backward.target or forward.target != backward.source:
@@ -1090,7 +1024,7 @@ def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
     for pmap, inverse, _, side in directions:
         for var in pmap.source.ring:
             residual = round_trip_residual(inverse.images[var], pmap.images, var,
-                                           pmap.source.generators)
+                                           pmap.source.generators[0])
             claims.append(Claim(f"round_trip_{side}[{var}]", side, "round_trip", var, None,
                                 residual, None, residual.is_zero()))
 

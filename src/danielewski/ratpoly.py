@@ -354,7 +354,7 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     Unassigned variables map to themselves.  The result lives in the ordered
     union of the image rings (source variables first, then new names in the
     order they appear in each image ring).  The expansion is the packed
-    Horner kernel of ``ideals.substitute_reduced`` with no divisors.
+    Horner kernel of ``ideals.substitute_reduced`` with no generator.
     """
     from .ideals import substitute_reduced
 
@@ -367,7 +367,7 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     images = {v: MultiPoly.var(target, v) for v in f.ring if v not in assignment}
     for v, image in assignment.items():
         images[v] = image if image.ring == target else ring_embed(image, target)
-    return substitute_reduced(f, images, ())
+    return substitute_reduced(f, images)
 
 
 class LaurentPoly:

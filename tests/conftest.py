@@ -48,6 +48,31 @@ def naive_division(f, divisors, order="grevlex"):
     return quotients, remainder
 
 
+def monic_variable(f):
+    """The first variable whose top power in ``f`` is a lone pure power, else None."""
+    for i, v in enumerate(f.ring):
+        top = max((exp[i] for exp in f.terms), default=0)
+        leading = [exp for exp in f.terms if exp[i] == top]
+        if top and len(leading) == 1 and sum(leading[0]) == top:
+            return v
+    return None
+
+
+def monic_remainder(p, f):
+    """The remainder of ``p`` modulo ``f`` as a polynomial in f's monic variable.
+
+    The oracle for ``substitute_reduced`` with a generator: ``naive_division``
+    in lex order with that variable v first, where f leads with its pure
+    power c v^r, so the remainder is the one of v-degree below r.
+    """
+    from danielewski.ratpoly import ring_embed
+
+    v = monic_variable(f)
+    lex = (v,) + tuple(u for u in f.ring if u != v)
+    _, remainder = naive_division(ring_embed(p, lex), [ring_embed(f, lex)], "lex")
+    return ring_embed(remainder, f.ring)
+
+
 def substitute_oracle(f, assignment):
     """Per-term substitution in plain ``MultiPoly`` arithmetic.
 

@@ -36,7 +36,9 @@ from danielewski.fibration import (
     relatively_connected_quotient,
 )
 from danielewski.ideals import IdealPresentation, ideal_member
-from danielewski.ratpoly import LaurentPoly, MultiPoly, laurent_from_str, poly_from_str
+from danielewski.ratpoly import (
+    LaurentPoly, MultiPoly, laurent_from_str, poly_from_str, poly_to_laurent,
+)
 
 X_RING = ("x",)
 
@@ -124,6 +126,32 @@ def test_h1_push_general_polynomial():
 def test_h1_push_rejects_zero():
     with pytest.raises(ValueError):
         h1_push(single(DOUBLE, "x^-1"), MultiPoly.zero(X_RING))
+
+
+def test_h1_push_at_a_nonzero_point_expands_only_below_the_pole_order():
+    # Only the Taylor coefficients 1, d and C(d, 2) of x^d at 1 reach the
+    # principal part of the pole of order 3; the full shift of x^4000 took
+    # half a minute.
+    curve = MultifoldCurve("x", (MarkedPoint(Fraction(1), (("b0", 1), ("b1", 1))),))
+    g = LaurentPoly("x", {-3: 2, -1: Fraction(-1, 2)}, 1)
+    c = class_normal_form({(1, (0, 1)): g}, curve)
+    start = time.perf_counter()
+    pushed = h1_push(c, poly_from_str("x^4000", X_RING))
+    assert time.perf_counter() - start < 1
+    expected = LaurentPoly("x", {-3: 2, -2: 8000, -1: Fraction(31991999, 2)}, 1)
+    assert pushed == class_normal_form({(1, (0, 1)): expected}, curve)
+    rng = random.Random(17)
+    for _ in range(40):
+        location = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        curve = MultifoldCurve("x", (MarkedPoint(location, (("b0", 1), ("b1", 1))),))
+        g = LaurentPoly("x", {-k: rng.randint(-4, 4) for k in range(1, rng.randint(2, 6))}, location)
+        c = class_normal_form({(location, (0, 1)): g} if not g.is_zero() else {}, curve)
+        s = MultiPoly(X_RING, {(rng.randint(0, 9),): rng.randint(-5, 5) for _ in range(4)})
+        if s.is_zero():
+            continue
+        full = (g * poly_to_laurent(s, "x", location)).principal_part()
+        assert h1_push(c, s) == class_normal_form(
+            {(location, (0, 1)): full} if not full.is_zero() else {}, curve)
 
 
 def test_h1_push_additive_and_multiplicative_randomized():

@@ -1,6 +1,7 @@
 """CLI subcommands: reports, proof emission, replay verification, exit codes."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -125,6 +126,21 @@ def test_cylinder_iso_and_verify_round_trip(tmp_path, capsys):
     assert verdict["verified"] is True and verdict["failures"] == []
 
 
+def test_one_root_pair_constructs_and_verifies(tmp_path, capsys):
+    # P(y) = y - 1 has degree 1, so the variable y the round trips divide in is
+    # itself divisible by the generator: the only such pair among the inputs.
+    # The digest pins the proof bytes.
+    code, proof, _ = run(capsys, "cylinder-iso", "x z = (y - 1)", "x^2 z = (y - 1)")
+    assert code == 0
+    assert hashlib.sha256(proof.encode()).hexdigest() == (
+        "3683df38fd51d7ebc6baaa023a0c8650aa240aefb1e99ddf7cb4720f08ff6e4b")
+    path = tmp_path / "proof.json"
+    path.write_text(proof)
+    code, verdict, _ = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert verdict["verified"] is True and verdict["failures"] == []
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
     run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
@@ -222,6 +238,16 @@ def test_verify_detects_tampering(tmp_path, capsys):
         on_certificate=False,
     )
     assert failures == ["source_surface: equation does not match the certified generator"]
+
+    # A generator monic in no variable cannot be divided as the round trips
+    # divide; it does not rebuild its equation, so its side's round trips are
+    # not expanded and the mismatch is the failure.
+    failures = refused(lambda cert: cert["source"].update(generators=["x^5*y^5*z^5*w^5 + x*y"]))
+    assert failures == [
+        "source_surface: equation does not match the certified generator",
+        "forward_well_defined[0]: cofactor identity fails",
+        "backward_well_defined[0]: recorded pullback does not match the maps",
+    ]
 
     # The other surface fields must be the ones the equation gives.
     for key, value in (("n", 7), ("roots", [["5", 1]]), ("smooth", False),

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import naive_division, substitute_oracle
+from conftest import monic_remainder, naive_division, substitute_oracle
 
 from danielewski.errors import RingMismatchError
 from danielewski.ideals import (
@@ -299,6 +299,12 @@ def test_certificate_refuses_a_two_generator_presentation():
         verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
 
 
+def test_certificate_refuses_a_generator_monic_in_no_variable():
+    i = ideal("x^5*y^5*z^5 + x*y")
+    with pytest.raises(ValueError, match="monic in no variable"):
+        verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
+
+
 def test_pullback_cofactor_is_the_quotient_by_the_generator():
     """The certificate divides by the generator; the traced basis of the same
     ideal gives the same cofactor and residual."""
@@ -315,8 +321,7 @@ def test_pullback_cofactor_is_the_quotient_by_the_generator():
 def test_substitute_reduced_matches_plain_substitution():
     from danielewski.ideals import substitute_reduced
 
-    i = ideal("x*z - y^2 + 1")
-    basis = groebner_basis(i).basis
+    (f,) = groebner_basis(ideal("x*z - y^2 + 1")).basis  # y^2 - x*z - 1, monic in y
     images = {"x": p("z"), "y": p("x*y - 1"), "z": p("x + z^2")}
     rng = random.Random(107)
     for _ in range(15):
@@ -327,6 +332,6 @@ def test_substitute_reduced_matches_plain_substitution():
                 for _ in range(4)
             },
         )
-        fast = substitute_reduced(g, images, basis)
-        _, slow = naive_division(substitute_oracle(g, images), list(basis))
+        fast = substitute_reduced(g, images, f)
+        slow = monic_remainder(substitute_oracle(g, images), f)
         assert fast == slow

@@ -1,16 +1,18 @@
-"""The packed division against textbook division.
+"""The packed division and the substitution kernel against textbook division.
 
 The oracle is ``naive_division`` from ``conftest``, in plain ``MultiPoly``
 arithmetic.  ``reduce_full`` and ``normal_form`` must match its quotients and
 remainder term for term for any divisor list, Groebner basis or not, since
 both take the largest term first and the first divisor that applies.
-``substitute_reduced`` reduces while it substitutes, so it must match the
-oracle's remainder of the per-term substitution (``substitute_oracle``)
-modulo a Groebner basis, where the remainder is unique.  Its rows evaluated
-at x = 2^slot must decode to the oracle's terms for coefficients far wider
-than a slot's share of machine words, with every final numerator inside the
-slot width, and the division with its heap floor must match the heap loop
-without one (``reference_reduce``).
+``substitute_reduced`` reduces modulo one generator f while it substitutes,
+dividing f as a polynomial in the first variable v in which f is monic, so
+it must match the oracle's remainder of the per-term substitution
+(``substitute_oracle``) in lex order with v first (``monic_remainder``),
+which is unique.  Its rows evaluated at x = 2^slot must decode to the
+oracle's terms for coefficients far wider than a slot's share of machine
+words, with every final numerator inside the slot width, and the division
+with its heap floor must match the heap loop without one
+(``reference_reduce``).
 """
 
 import heapq
@@ -18,19 +20,12 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
-from conftest import examples, naive_division, substitute_oracle
+from conftest import examples, monic_remainder, monic_variable, naive_division, substitute_oracle
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from danielewski import ideals
-from danielewski.ideals import (
-    IdealPresentation,
-    groebner_basis,
-    leading_term,
-    normal_form,
-    reduce_full,
-    substitute_reduced,
-)
+from danielewski.ideals import leading_term, normal_form, reduce_full, substitute_reduced
 from danielewski.ratpoly import MultiPoly, poly_from_str, substitute
 
 XYZ = ("x", "y", "z")
@@ -69,9 +64,23 @@ def with_rational_tail(f: MultiPoly, lc: int, den: int, order: str = "grevlex") 
 generators = polys(3, 4, small_ints, min_terms=2).filter(lambda f: not f.is_constant())
 
 
-def assert_matches_oracle(g, imgs, basis, order="grevlex"):
-    _, expected = naive_division(substitute_oracle(g, imgs), basis, order)
-    assert substitute_reduced(g, imgs, basis, order) == expected
+@st.composite
+def monic_generators(draw, leads=st.sampled_from([1, -1]), tails=small_ints):
+    """c v^r plus a tail of v-degree below r: monic in v.  The tail may make
+    f monic in an earlier variable too, which then decides the division."""
+    v = draw(st.sampled_from(range(3)))
+    r = draw(st.integers(1, 3))
+    lead = tuple(r if i == v else 0 for i in range(3))
+    low = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: e[v] < r)
+    tail = draw(st.dictionaries(low, tails, min_size=1, max_size=4))
+    return MultiPoly(XYZ, {**tail, lead: Fraction(draw(leads))})
+
+
+def assert_matches_oracle(g, imgs, f=None):
+    expected = substitute_oracle(g, imgs)
+    if f is not None:
+        expected = monic_remainder(expected, f)
+    assert substitute_reduced(g, imgs, f) == expected
 
 
 def assert_division_matches_oracle(f, divisors, order="grevlex"):
@@ -83,9 +92,9 @@ def assert_division_matches_oracle(f, divisors, order="grevlex"):
 
 
 @KERNEL
-@given(outer, images, generators, st.sampled_from([1, -1]))
-def test_integral_generator_with_unit_leading_coefficient(g, imgs, f, lc):
-    assert_matches_oracle(g, imgs, [with_leading_coefficient(f, lc)])
+@given(outer, images, monic_generators())
+def test_integral_generator_with_unit_leading_coefficient(g, imgs, f):
+    assert_matches_oracle(g, imgs, f)
 
 
 @KERNEL
@@ -97,28 +106,27 @@ def test_generator_with_half_integer_roots(g, imgs, n, roots):
         rhs = rhs * (p("y") - MultiPoly.const(XYZ, r))
     f = p(f"x^{n}*z") - rhs
     assert any(c.denominator != 1 for c in f.terms.values())
-    assert_matches_oracle(g, imgs, [f])
+    assert monic_variable(f) == "y"
+    assert_matches_oracle(g, imgs, f)
 
 
 @KERNEL
-@given(outer, images, generators, st.sampled_from([2, -2, 3]))
-def test_generator_with_non_unit_leading_coefficient(g, imgs, f, lc):
-    assert_matches_oracle(g, imgs, [with_leading_coefficient(f, lc)])
+@given(outer, images, monic_generators(st.sampled_from([2, -2, 3])))
+def test_generator_with_non_unit_leading_coefficient(g, imgs, f):
+    assert_matches_oracle(g, imgs, f)
 
 
 @KERNEL
-@given(outer, images, generators, st.sampled_from([1, -1, 2]))
-def test_lex_order(g, imgs, f, lc):
-    assert_matches_oracle(g, imgs, [with_leading_coefficient(f, lc, "lex")], "lex")
-
-
-@KERNEL
-@given(outer, images, st.sampled_from([("x^2 - y", "y^2 - z"), ("x*z - y^2 + 1", "x - 1")]),
-       st.sampled_from(["grevlex", "lex"]))
-def test_two_element_reduced_groebner_basis(g, imgs, gens, order):
-    basis = groebner_basis(IdealPresentation(XYZ, [p(t) for t in gens]), order).basis
-    assert len(basis) == 2
-    assert_matches_oracle(g, imgs, list(basis), order)
+@given(outer, images, st.sampled_from([1, -1, 2]))
+@example(p("x^2*y"), {v: p(v) for v in XYZ}, 1)  # y^4 - x*y*z
+def test_the_first_monic_variable_decides(g, imgs, lc):
+    # c x^2 - y^3 + x*z is monic in x and in y; the remainder has x-degree
+    # below 2, and may have y-degree 3 or more.
+    f = MultiPoly(XYZ, {(2, 0, 0): Fraction(lc), (0, 3, 0): Fraction(-1), (1, 0, 1): Fraction(1)})
+    assert ideals._monic_lead(f)[:2] == (0, 2)
+    assert_matches_oracle(g, imgs, f)
+    result = substitute_reduced(g, imgs, f)
+    assert all(exp[0] < 2 for exp in result.terms)
 
 
 @KERNEL
@@ -134,34 +142,35 @@ def test_divisor_list_that_is_not_a_groebner_basis(f, divisors, lc, order):
 
 @KERNEL
 @given(dividends, outer, images, generators, st.sampled_from([2, -3, 4, 6]),
-       st.sampled_from([2, 3]), st.sampled_from(["grevlex", "lex"]))
-def test_non_unit_leading_coefficient_with_rational_tail(f, g, imgs, gen, lc, den, order):
+       st.sampled_from([2, 3]), st.sampled_from(["grevlex", "lex"]), st.data())
+def test_non_unit_leading_coefficient_with_rational_tail(f, g, imgs, gen, lc, den, order, data):
     # The integer leading coefficient rarely divides a term's coefficient,
-    # so the division takes pseudo-steps.
+    # so the division takes pseudo-steps; the kernel scales v instead.
     divisor = with_rational_tail(gen, lc, den, order)
     assert_division_matches_oracle(f, [divisor], order)
-    assert_matches_oracle(g, imgs, [divisor], order)
+    tails = st.fractions(-3, 3, max_denominator=den).filter(bool)
+    assert_matches_oracle(g, imgs, data.draw(monic_generators(st.just(lc), tails)))
 
 
 def test_images_from_a_smaller_ring_are_embedded():
     g = p("x^2*y - z")
     imgs = {"x": p("y + 1", ("x", "y")), "y": p("x*y", ("x", "y")), "z": p("x", ("x",))}
-    basis = [p("x*z - y^2 + 1")]
-    _, expected = naive_division(p("y + 1") ** 2 * p("x*y") - p("x"), basis)
-    assert substitute_reduced(g, imgs, basis) == expected
+    f = p("x*z - y^2 + 1")
+    expected = monic_remainder(p("y + 1") ** 2 * p("x*y") - p("x"), f)
+    assert substitute_reduced(g, imgs, f) == expected
 
 
 IDENTITY = {v: p(v) for v in XYZ}
 
 
 def test_exponent_1500_does_not_recurse():
-    basis = [p("x*z - y^2 + 1")]  # leading term y^2 in grevlex
-    assert ideals._monic_lead(basis, "grevlex")[:2] == (1, 2)  # reduced in the kernel
-    assert substitute_reduced(p("x^1500"), IDENTITY, basis) == p("x^1500")
+    f = p("x*z - y^2 + 1")  # monic in y, of degree 2
+    assert ideals._monic_lead(f)[:2] == (1, 2)  # reduced in the kernel
+    assert substitute_reduced(p("x^1500"), IDENTITY, f) == p("x^1500")
     # y^1500 = (x z + 1)^750 modulo the generator; its middle coefficient
     # C(750, 375) has 745 bits
     expected = MultiPoly(XYZ, {(k, 0, k): comb(750, k) for k in range(751)})
-    result = substitute_reduced(p("y^1500"), IDENTITY, basis)
+    result = substitute_reduced(p("y^1500"), IDENTITY, f)
     assert result == expected
     assert max(c.numerator.bit_length() for c in result.terms.values()) == 745
 
@@ -179,7 +188,7 @@ def spy_widths(mp: pytest.MonkeyPatch) -> list:
 
 
 def test_exponent_wider_than_the_packed_field(monkeypatch):
-    # Lex reduction by x - y^300 raises y-degrees past the bound taken from
+    # Reduction by x - y^300 in x raises y-degrees past the bound taken from
     # the inputs (at most 502 here, so 9-bit fields plus a guard bit).  x^5
     # overflows while squaring; the image x*y^250 already reduces to y^550,
     # whose square would carry into the x field.  The guard bit must catch
@@ -189,13 +198,13 @@ def test_exponent_wider_than_the_packed_field(monkeypatch):
     for g, image, expected in (("x^5", "x", "y^1500"), ("x^2", "x*y^250", "y^1100")):
         widths.clear()
         imgs = {"x": p(image, xy), "y": p("y", xy)}
-        result = substitute_reduced(p(g, xy), imgs, [p("x - y^300", xy)], "lex")
+        result = substitute_reduced(p(g, xy), imgs, p("x - y^300", xy))
         assert result == p(expected, xy)
         assert widths == [10, 20]
 
 
 def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
-    # Modulo x - y^300 in lex the image of x reduces to the 70 terms
+    # Modulo x - y^300, in x, the image of x reduces to the 70 terms
     # y^300..y^369: one row, packed along y (the only variable but x) into
     # one integer.  Its square is one pair of segments, and its lowest
     # exponent 600 exceeds the 10-bit fields sized from the inputs: the guard
@@ -209,8 +218,7 @@ def test_overflow_in_a_kronecker_product_reruns_wider(monkeypatch):
 
     monkeypatch.setattr(ideals._Rows, "mul", counted)
     image = p(" + ".join(f"x*y^{i}" for i in range(70)), xy)
-    result = substitute_reduced(p("x^2", xy), {"x": image, "y": p("y", xy)},
-                                [p("x - y^300", xy)], "lex")
+    result = substitute_reduced(p("x^2", xy), {"x": image, "y": p("y", xy)}, p("x - y^300", xy))
     assert result == p(" + ".join(f"y^{300 + i}" for i in range(70)), xy) ** 2
     assert widths == [10, 20]
     assert pairs and set(pairs) == {1}  # each product is one pair of segments
@@ -224,54 +232,42 @@ coefficients = wide | small_ints | st.sampled_from([(1 << 64) + 1, -(1 << 64) - 
 wide_images = st.fixed_dictionaries({v: polys(3, 4, coefficients) for v in XYZ})
 
 
-@st.composite
-def pure_power_generators(draw, order: str):
-    """c v^r plus a tail with rational coefficients that c v^r leads in
-    ``order``."""
-    v = draw(st.sampled_from(range(3)))
-    r = draw(st.integers(1, 3))
-    lead = tuple(r if i == v else 0 for i in range(3))
-    c = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
-                              Fraction(1, 2), Fraction(-2, 3)]))
-    if order == "lex":  # variables before v absent, and v below r
-        low = st.tuples(*[st.integers(0, 3)] * 3).filter(
-            lambda e: e[v] < r and not any(e[:v]))
-    else:
-        low = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) < r)
-    tail = draw(st.dictionaries(low, st.fractions(-3, 3, max_denominator=4).filter(bool),
-                                min_size=1, max_size=4))
-    return MultiPoly(XYZ, {**tail, lead: c})
+# rational leading coefficients over rational tails: v = V / s, s > 1
+rational_monic = monic_generators(
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+    st.fractions(-3, 3, max_denominator=4).filter(bool))
 
 
 @KERNEL
-@given(outer, wide_images, st.sampled_from(["grevlex", "lex"]), st.data())
-def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, order, data):
+@given(outer, wide_images, rational_monic)
+def test_kernel_with_every_product_packed_matches_the_oracle(g, imgs, f):
     assert substitute(g, imgs) == substitute_oracle(g, imgs)
-    f = data.draw(pure_power_generators(order))
-    assert_matches_oracle(g, imgs, [f], order)
+    assert_matches_oracle(g, imgs, f)
 
 
 @KERNEL
-@given(outer, images, st.sampled_from(["grevlex", "lex"]), st.data())
-def test_pure_power_leads_with_rational_tails(g, imgs, order, data):
+@given(outer, images, rational_monic)
+def test_pure_power_leads_with_rational_tails(g, imgs, f):
     # v = V / s makes the generator monic with an integer tail; its leading
     # coefficient need not be 1, and s is 1 only for an integral monic tail.
-    f = data.draw(pure_power_generators(order))
-    v, r, tail, s = ideals._monic_lead([f], order)
-    assert f.terms[tuple(r if i == v else 0 for i in range(3))]  # led by c v^r
+    v, r, tail, s = ideals._monic_lead(f)
+    assert f.ring[v] == monic_variable(f)
     (lead, c), = [(e, c) for e, c in f.terms.items() if e[v] == r]
+    assert lead == tuple(r if i == v else 0 for i in range(3))  # led by c v^r
     scaled = {e: a * s ** (r - e[v]) / c for e, a in f.terms.items() if e != lead}
     assert all(a.denominator == 1 for a in scaled.values())
     assert tail == {e: -int(a) for e, a in scaled.items()}
-    assert_matches_oracle(g, imgs, [f], order)
+    assert_matches_oracle(g, imgs, f)
 
 
-@KERNEL
-@given(outer, wide_images, st.sampled_from(["grevlex", "lex", None]), st.data())
-def test_slot_width_bounds_every_final_numerator(g, imgs, order, data):
+# A failing example is reported as generated: shrinking coefficients of up to
+# 2^70 through the ``MultiPoly`` oracle would take many minutes.
+@settings(KERNEL, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(outer, wide_images, st.booleans(), st.data())
+def test_slot_width_bounds_every_final_numerator(g, imgs, reduced, data):
     # The digits decode exactly only if every final numerator, over the
     # kernel's denominator and in V = s v, is below 2^(slot - 1) in size.
-    basis = [data.draw(pure_power_generators(order))] if order else []
+    f = data.draw(rational_monic) if reduced else None
     seen, decode = [], ideals._Rows.decode
 
     def spy(self, rows, ring, shifts, x, den, v, s):
@@ -280,10 +276,10 @@ def test_slot_width_bounds_every_final_numerator(g, imgs, order, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals._Rows, "decode", spy)
-        result = substitute_reduced(g, imgs, basis, order or "grevlex")
+        result = substitute_reduced(g, imgs, f)
     expected = substitute_oracle(g, imgs)
-    if basis:
-        expected = naive_division(expected, basis, order)[1]
+    if f is not None:
+        expected = monic_remainder(expected, f)
     assert result == expected
     (slot, den, v, s), = seen
     for exp, c in expected.terms.items():
@@ -335,7 +331,7 @@ def runs(draw):
 @given(polys(2, 3, small_ints), st.fixed_dictionaries({v: runs() for v in XYZ}))
 def test_long_and_sparse_rows_match_the_oracle(g, imgs):
     assert substitute(g, imgs) == substitute_oracle(g, imgs)
-    assert_matches_oracle(g, imgs, [p("x*z - y^2 + 1")])
+    assert_matches_oracle(g, imgs, p("x*z - y^2 + 1"))
 
 
 def test_a_long_row_times_segments_apart_overlaps():
