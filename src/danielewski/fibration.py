@@ -5,10 +5,11 @@ Models the two hypersurface families
     x^n z = P(y)        (plain fiber)
     x^n z = P(y) - x    (shifted fiber)
 
-with P monic and given in factored form, computes the decomposition of the
-scheme-theoretic fiber over x = 0, builds the smooth relatively connected
-quotient of the fibration as combinatorial multifold-curve data (the affine
-line with finitely many points replaced by several branch points, possibly
+with P monic and given in factored form, decides smoothness from the roots
+(``is_smooth``), computes the decomposition of the scheme-theoretic fiber
+over x = 0, builds the smooth relatively connected quotient of the
+fibration as combinatorial multifold-curve data (the affine line with
+finitely many points replaced by several branch points, possibly
 non-reduced), and classifies whether the fibration is a line bundle or a
 cancellation counterexample candidate.
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import SingularInputError
-from .ideals import IdealPresentation, jacobian_smooth
+from .ideals import IdealPresentation
 from .ratpoly import MultiPoly, as_fraction, fraction_str
 
 SURFACE_RING = ("x", "y", "z")
@@ -154,14 +155,23 @@ def _poly_from_roots(roots, shifted: bool, n: int) -> MultiPoly:
     return MultiPoly(SURFACE_RING, terms)
 
 
-def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> DanielewskiSurface:
-    """Construct a family member and certify its smoothness.
+def is_smooth(n: int, roots, variant: Variant) -> bool:
+    """The Jacobian criterion for ``x^n z = P(y) [- x]``, solved by hand.
 
-    Plain-fiber surfaces require all multiplicities 1: a repeated root makes
-    x^n z = P(y) singular along the corresponding fiber component.  Shifted
-    surfaces are smooth except for n = 1 with a repeated root (the point
-    (0, y_i, -1) is then singular); such input is rejected as well.
+    ``d/dz = x^n`` vanishes only on ``x = 0``, where the surface is
+    ``P(y) = 0`` and ``d/dy`` vanishes only at a repeated root of P.
+    ``d/dx`` then vanishes too at some point, except on the shifted family
+    with n >= 2, whose ``d/dx = n x^(n-1) z + 1`` is 1 there.  So a member
+    is singular exactly when P has a repeated root and the member is plain,
+    or shifted with n = 1.  ``ideals.jacobian_smooth`` is the general
+    criterion; the tests check this rule against it.
     """
+    simple = all(m == 1 for _, m in roots)
+    return simple or (variant is Variant.SHIFTED and n >= 2)
+
+
+def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> DanielewskiSurface:
+    """Construct a family member; a singular one (``is_smooth``) is refused."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("the exponent of x must be a positive integer")
     clean: list[tuple[Fraction, int]] = []
@@ -175,17 +185,17 @@ def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> Danielews
     values = [r for r, _ in clean]
     if len(set(values)) != len(values):
         raise ValueError(f"duplicate roots in {values}")
-    if variant is Variant.PLAIN and any(m >= 2 for _, m in clean):
-        raise SingularInputError(
-            "x^n z = P(y) with a repeated root of P is singular; "
-            "multiple fibers on smooth surfaces need the shifted family"
-        )
-    f = _poly_from_roots(clean, variant is Variant.SHIFTED, n)
-    smooth = jacobian_smooth(f)
-    if not smooth:
+    shifted = variant is Variant.SHIFTED
+    if not is_smooth(n, clean, variant):
+        if not shifted:
+            raise SingularInputError(
+                "x^n z = P(y) with a repeated root of P is singular; "
+                "multiple fibers on smooth surfaces need the shifted family"
+            )
+        f = _poly_from_roots(clean, shifted, n)
         raise SingularInputError(f"surface {f} fails the Jacobian criterion")
-    presentation = IdealPresentation(SURFACE_RING, [f])
-    return DanielewskiSurface(n, tuple(clean), variant, presentation, smooth)
+    presentation = IdealPresentation(SURFACE_RING, [_poly_from_roots(clean, shifted, n)])
+    return DanielewskiSurface(n, tuple(clean), variant, presentation, True)
 
 
 def _component_label(root: Fraction) -> str:

@@ -3,7 +3,10 @@
 Provides reduced Groebner bases (Buchberger with pair-elimination criteria),
 ideal membership with explicit cofactor witnesses, the Jacobian smoothness
 criterion for hypersurfaces in A^3, and verification of polynomial maps and
-isomorphism certificates between affine varieties given by generators.
+isomorphism certificates between affine varieties given by generators.  The
+bases, membership and ``jacobian_smooth`` are the general reference,
+computed on each call.  No CLI command reaches them: ``fibration.is_smooth``
+decides smoothness, and the certificates divide by one generator (below).
 
 Every multivariate division runs through one routine, ``_PackedDivision``:
 the heap division of Monagan and Pearce on packed-int monomials, largest term
@@ -46,7 +49,6 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -451,27 +453,19 @@ def _reduced_basis(gens, order, ring, trace: bool):
     return _at_fitting_width(max([1] + [g.total_degree() for g in gens]), run)
 
 
-@lru_cache(maxsize=None)
-def _groebner_cached(ideal: IdealPresentation, order: str):
-    polys, _ = _reduced_basis(ideal.generators, order, ideal.ring, trace=False)
-    return tuple(polys)
-
-
 def groebner_basis(ideal: IdealPresentation, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis; deterministic and generator-order independent."""
     if order not in ORDER_KEYS:
         raise ValueError(f"unknown term order {order!r}")
-    return GroebnerBasis(ideal.ring, order, _groebner_cached(ideal, order))
+    polys, _ = _reduced_basis(ideal.generators, order, ideal.ring, trace=False)
+    return GroebnerBasis(ideal.ring, order, tuple(polys))
 
 
 def ideal_member(f: MultiPoly, ideal: IdealPresentation, order: str = "grevlex") -> bool:
     """True iff the normal form of ``f`` modulo the ideal is zero."""
     if f.ring != ideal.ring:
         raise RingMismatchError(f"ring mismatch: {f.ring} vs {ideal.ring}")
-    basis = _groebner_cached(ideal, order)
-    if not basis:
-        return f.is_zero()
-    return normal_form(f, basis, order).is_zero()
+    return normal_form(f, groebner_basis(ideal, order).basis, order).is_zero()
 
 
 def ideal_member_witness(

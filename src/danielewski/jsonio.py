@@ -28,13 +28,13 @@ from .cylinder import (
 )
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
-    SURFACE_RING,
     DanielewskiSurface,
     MarkedPoint,
     MultifoldCurve,
     Variant,
     classify_cancellation,
     degenerate_fibers,
+    is_smooth,
     relatively_connected_quotient,
     LineBundle,
 )
@@ -401,7 +401,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     repeated or extra.  An image with a term divisible by the grevlex leading
     term of its domain's generator is a failure, and no round trip (each
     composes both maps) is then expanded.  Each side's surface equation must
-    rebuild the certified generator, be smooth (``SurfaceSpec.is_smooth``, no
+    rebuild the certified generator, be smooth (``fibration.is_smooth``, no
     basis), and give the recorded ``n``, ``variant`` and ``roots``; ``smooth``
     must be recorded as true.  A side's round trips divide by its generator
     as a polynomial in y, in which ``x^n z - P(y)`` is monic, so they are
@@ -470,7 +470,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
         failures.extend(f"{side}_surface: {key} does not match the equation"
                         for key, value in expected.items()
                         if json.dumps(surface.get(key)) != json.dumps(value))
-        if not spec.is_smooth():
+        if not is_smooth(spec.n, spec.roots, spec.variant):
             failures.append(f"{side}_surface: the equation is singular")
     # one pullback per generator (there is one on each side), one round trip per variable
     required = {("generator_pullback", side, "0") for side in presentations}
@@ -575,19 +575,13 @@ def _probe_point(pres: IdealPresentation, images: dict, seed: int) -> Optional[t
 def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec) -> list[str]:
     """Recompute a counterexample's pole profiles and orbit verdict.
 
-    The classes come from the two surface equations, with smoothness read
-    off the roots as above, so no basis is computed.  Orbit-equivalent
-    classes are a failure even when recorded as such: the pair is then no
-    counterexample.
+    The classes come from the surfaces of the two equations; building one
+    computes no basis, and a singular one is not computable.
+    Orbit-equivalent classes are a failure even when recorded as such: the
+    pair is then no counterexample.
     """
     try:
-        classes = [
-            surface_class(DanielewskiSurface(
-                spec.n, spec.roots, spec.variant,
-                IdealPresentation(SURFACE_RING, [spec.polynomial()]), spec.is_smooth(),
-            ))
-            for spec in (source, target)
-        ]
+        classes = [surface_class(spec.to_surface()) for spec in (source, target)]
         expected = invariants_to_json(invariant_report(*classes))
     except (UnsupportedError, ValueError) as exc:
         return [f"invariants: not computable from the equations: {exc}"]
@@ -602,7 +596,8 @@ def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec)
 
 
 def _verify_construction(construction: dict) -> list[str]:
-    """Re-check the splitting identities stored with the proof."""
+    """Re-check the splitting identities stored with the proof, each with one
+    polynomial per chart of its class's curve, none above its degree bound."""
     from .cylinder import GluedModel, FiberCoordinate, verify_splitting
 
     failures: list[str] = []
@@ -619,6 +614,12 @@ def _verify_construction(construction: dict) -> list[str]:
         per_chart = tuple(_proof_poly(text, ring, f"splitting {tag}") for text in data["per_chart"])
         splitting = Splitting(ring, per_chart, int(data["degree_bound"]))
         model = GluedModel(transitions.curve, (FiberCoordinate(ring[1], transitions),))
+        if len(per_chart) != model.n_charts:
+            failures.append(f"splitting {tag}: per_chart has {len(per_chart)} entries "
+                            f"for {model.n_charts} charts")
+            return
+        if any(h.total_degree() > splitting.degree_bound for h in per_chart):
+            failures.append(f"splitting {tag}: a per_chart polynomial exceeds the degree_bound")
         if pullback.curve != transitions.curve:
             pullback = CechClass(transitions.curve, dict(pullback.parts))
         if not verify_splitting(model, pullback, splitting):

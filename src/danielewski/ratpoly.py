@@ -455,10 +455,6 @@ class LaurentPoly:
         """Multiply by ``(variable - center)^k`` (k may be negative)."""
         return LaurentPoly(self.variable, {e + k: c for e, c in self.terms.items()}, self.center)
 
-    def times_poly(self, s: MultiPoly) -> "LaurentPoly":
-        """Multiply by a polynomial in the Laurent variable, re-expanded at the center."""
-        return self * poly_to_laurent(s, self.variable, self.center)
-
     def split(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Decompose into (regular part, principal part)."""
         regular = {e: c for e, c in self.terms.items() if e >= 0}

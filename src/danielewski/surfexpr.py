@@ -43,17 +43,6 @@ class SurfaceSpec:
         """The defining polynomial, without the smoothness check of ``to_surface``."""
         return _poly_from_roots(self.roots, self.variant is Variant.SHIFTED, self.n)
 
-    def is_smooth(self) -> bool:
-        """The Jacobian verdict of ``to_surface``, read off the roots.
-
-        ``d/dz = x^n`` vanishes only on ``x = 0``, where the surface is
-        ``P(y) = 0`` and ``d/dy`` vanishes only at a repeated root of P.
-        ``d/dx`` then vanishes too at some point, except on the shifted
-        family with n >= 2, whose ``d/dx = n x^(n-1) z + 1`` is 1 there.
-        """
-        simple = all(m == 1 for _, m in self.roots)
-        return simple or (self.variant is Variant.SHIFTED and self.n >= 2)
-
 
 def _parse_positive_int(toks: _Tokens) -> int:
     value, position = _parse_int(toks)

@@ -194,6 +194,18 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(splitting_constant, on_certificate=False)
     assert failures == ["splitting aux_over_source: identity fails on re-expansion"]
 
+    # A splitting holds one polynomial per chart, none above its degree bound.
+    def aux_over_source(edit):
+        return lambda doc: edit(doc["construction"]["splittings"]["aux_over_source"])
+
+    failures = refused(aux_over_source(lambda s: s["per_chart"].pop()), on_certificate=False)
+    assert failures == ["splitting aux_over_source: per_chart has 1 entries for 2 charts"]
+    failures = refused(aux_over_source(lambda s: s["per_chart"].append("x^7")),
+                       on_certificate=False)
+    assert failures == ["splitting aux_over_source: per_chart has 3 entries for 2 charts"]
+    failures = refused(aux_over_source(lambda s: s.update(degree_bound=-5)), on_certificate=False)
+    assert failures == ["splitting aux_over_source: a per_chart polynomial exceeds the degree_bound"]
+
     # An empty claim list proves nothing: every required claim is missing.
     failures = refused(lambda cert: cert.update(claims=[]))
     rings = original["certificate"]["source"]["ring"] + original["certificate"]["target"]["ring"]

@@ -27,6 +27,7 @@ from danielewski.cylinder import (
     verify_splitting,
     with_coordinate,
 )
+from danielewski.cli import main
 from danielewski.errors import NoSplittingFound, NotComparable, UnsupportedError
 from danielewski.fibration import MarkedPoint, MultifoldCurve, Variant, build_surface
 from danielewski.ideals import normal_form
@@ -372,7 +373,6 @@ def test_construction_and_replay_compute_no_groebner_basis(monkeypatch):
     """Once the surfaces are built, constructing and replaying a proof only
     divides by each cylinder's generator."""
     source, target = s_family(0), s_family(1)
-    ideals._groebner_cached.cache_clear()
 
     def no_basis(*args, **kwargs):
         raise AssertionError("a Groebner basis was computed")
@@ -381,6 +381,29 @@ def test_construction_and_replay_compute_no_groebner_basis(monkeypatch):
     con = cylinder_construction(source, target)
     assert con.certificate.is_valid()
     assert verify_proof(cylinder_proof(con)) == (True, [])
+
+
+def test_no_cli_command_computes_a_groebner_basis(monkeypatch, tmp_path, capsys):
+    """Smoothness is read off the roots, so no command reaches a basis,
+    on smooth input or on singular input."""
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(ideals, "_reduced_basis", no_basis)
+    proof = str(tmp_path / "proof.json")
+    for argv in (
+        ["analyze", "x^2 z = (y - 1)^2 (y + 1) - x"],
+        ["cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)", "--out", proof],
+        ["verify", proof],
+        ["counterexample", "x z = (y - 1) (y + 1)"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["analyze", "x z = y^2 - x"]) == 1
+    assert capsys.readouterr() == (
+        "", "refused: surface -y^2 + x*z + x fails the Jacobian criterion\n"
+    )
 
 
 def test_cylinder_iso_same_surface_is_identity():

@@ -89,7 +89,6 @@ def test_one_packed_object_per_width_attempt(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(ideals, "_PackedDivision", Counting)
-    ideals._groebner_cached.cache_clear()
     f = poly_from_str("x^3*z - y^2 + 1", XYZ)
     assert ideals.jacobian_smooth(f)
     assert len(made) == 1

@@ -172,12 +172,6 @@ def test_laurent_split_idempotent_randomized():
         assert regular + principal == f
 
 
-def test_laurent_times_poly():
-    f = laurent_from_str("x^-2 + x^-1", "x")
-    s = poly_from_str("x + 1", ("x",))
-    assert f.times_poly(s) == laurent_from_str("x^-2 + 2*x^-1 + 1", "x")
-
-
 def test_poly_to_laurent_recentering():
     s = poly_from_str("x^2", ("x",))
     shifted = poly_to_laurent(s, "x", 1)

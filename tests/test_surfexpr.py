@@ -1,13 +1,14 @@
 """Surface-equation grammar: parsing, normalization, positioned errors."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from danielewski.errors import ParseError, SingularInputError
-from danielewski.fibration import Variant
+from danielewski.fibration import Variant, is_smooth
 from danielewski.ideals import jacobian_smooth
-from danielewski.surfexpr import parse_surface
+from danielewski.surfexpr import SurfaceSpec, parse_surface
 
 
 def test_parse_intro_equation():
@@ -105,4 +106,19 @@ def test_to_surface_builds_and_validates():
 ])
 def test_smoothness_read_off_the_roots_matches_the_jacobian_criterion(text):
     spec = parse_surface(text)
-    assert spec.is_smooth() == jacobian_smooth(spec.polynomial())
+    assert is_smooth(spec.n, spec.roots, spec.variant) == jacobian_smooth(spec.polynomial())
+
+
+def test_smoothness_rule_matches_the_jacobian_criterion_on_a_grid():
+    """n = 1..4, both variants, 1-3 roots from {-3/2, 0, 1, 5/3} with
+    multiplicities 1-3: 1,392 members."""
+    values = (Fraction(-3, 2), Fraction(0), Fraction(1), Fraction(5, 3))
+    checked = 0
+    for n, variant, k in itertools.product(range(1, 5), Variant, range(1, 4)):
+        for chosen in itertools.combinations(values, k):
+            for mults in itertools.product(range(1, 4), repeat=k):
+                spec = SurfaceSpec("", n, tuple(zip(chosen, mults)), variant)
+                smooth = is_smooth(spec.n, spec.roots, spec.variant)
+                assert smooth == jacobian_smooth(spec.polynomial()), spec.normalized()
+                checked += 1
+    assert checked == 1392
