@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedError,
 )
 from .fibration import MarkedPoint, MultifoldCurve
-from .ratpoly import fraction_str, laurent_from_str, poly_from_str
+from .ratpoly import laurent_from_str, poly_from_str
 from .surfexpr import parse_surface
 
 EXIT_OK = 0
@@ -132,13 +132,12 @@ def cmd_cocycle_push(args) -> int:
 
 def cmd_cocycle_profile(args) -> int:
     c = _parse_class(args.cocycle, args.branches)
-    profile = pole_profile(c)
     _emit(
         {
             "schema": jsonio.COCYCLE_SCHEMA,
             "operation": "profile",
             "input": jsonio.class_to_json(c),
-            "profile": [[fraction_str(loc), list(pair), order] for loc, pair, order in profile],
+            "profile": jsonio.profile_to_json(pole_profile(c)),
         },
         args.out,
     )

@@ -49,6 +49,9 @@ from .linsolve import solve_linear
 from .ratpoly import Exponent, MultiPoly, grevlex_key, ring_embed, substitute
 
 DEFAULT_SCHEDULE = (2, 4, 6, 8)
+# the powers by which the auxiliary class deepens the shallower class, in the
+# order the construction tries them
+AUX_POWERS = (1, 2, 3)
 CYLINDER_RING = ("x", "y", "z", "w")
 
 
@@ -439,6 +442,19 @@ def _transport(c: CechClass, curve: MultifoldCurve) -> CechClass:
     return CechClass(curve, dict(c.parts))
 
 
+def auxiliary_class(c_src: CechClass, c_tgt: CechClass, power: int) -> CechClass:
+    """The auxiliary torsor's class: the shallower class (pole order n for
+    x^n z = P(y); the source's on a tie), on the source curve, deepened by
+    ``power``.  Its pole then sits between the two class poles (or just above
+    both), which keeps all four splittings inside the degree schedule in
+    either direction of the pair.  Any nonzero-part class works for the trick
+    since its total space is affine.
+    """
+    depth = [max((g.pole_order() for g in c.parts.values()), default=0) for c in (c_src, c_tgt)]
+    shallow = c_src if depth[0] <= depth[1] else _transport(c_tgt, c_src.curve)
+    return divide_by_power(shallow, power)
+
+
 def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitting]):
     """Per-chart data of one direction: the two coordinates of the composite map.
 
@@ -506,15 +522,9 @@ def cylinder_construction(
     c_tgt = surface_class(target)
     model_src = torsor_to_glued(c_src, "v")
     model_tgt = torsor_to_glued(c_tgt, "u")
-    # The auxiliary torsor deepens the class of the SHALLOWER surface: its
-    # pole then sits between the two class poles (or just above both), which
-    # keeps all four splittings inside the degree schedule in either
-    # direction of the pair.  Any nonzero-part class works for the trick
-    # since its total space is affine.
-    shallow_class = c_src if source.n <= target.n else _transport(c_tgt, c_src.curve)
     failure: Optional[NoSplittingFound] = None
-    for aux_power in (1, 2, 3):
-        c_aux = divide_by_power(shallow_class, aux_power)
+    for aux_power in AUX_POWERS:
+        c_aux = auxiliary_class(c_src, c_tgt, aux_power)
         model_aux = torsor_to_glued(c_aux, "w")
         try:
             split_p = splitting_solve(model_src, c_aux, schedule)

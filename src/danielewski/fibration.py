@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 from .errors import SingularInputError
 from .ideals import IdealPresentation
-from .ratpoly import MultiPoly, as_fraction, fraction_str
+from .ratpoly import MultiPoly, _base_str, _product_str, as_fraction, fraction_str
 
 SURFACE_RING = ("x", "y", "z")
 
@@ -51,7 +51,6 @@ class DanielewskiSurface:
     roots: tuple[tuple[Fraction, int], ...]
     variant: Variant
     presentation: IdealPresentation
-    smooth: bool
 
     @property
     def defining_polynomial(self) -> MultiPoly:
@@ -70,17 +69,7 @@ class DanielewskiSurface:
 
 def format_equation(n: int, roots, variant: Variant) -> str:
     """Canonical factored text of a family member's defining equation."""
-    factors = []
-    for root, mult in roots:
-        root = as_fraction(root)
-        if root == 0:
-            base = "y"
-        elif root > 0:
-            base = f"(y - {fraction_str(root)})"
-        else:
-            base = f"(y + {fraction_str(-root)})"
-        factors.append(base if mult == 1 else f"{base}^{mult}")
-    rhs = " ".join(factors)
+    rhs = _product_str([(_base_str("y", as_fraction(root)), mult) for root, mult in roots], " ")
     if variant is Variant.SHIFTED:
         rhs += " - x"
     return f"x^{n} z = {rhs}"
@@ -195,11 +184,7 @@ def build_surface(n: int, roots: Iterable[tuple], variant: Variant) -> Danielews
         f = _poly_from_roots(clean, shifted, n)
         raise SingularInputError(f"surface {f} fails the Jacobian criterion")
     presentation = IdealPresentation(SURFACE_RING, [_poly_from_roots(clean, shifted, n)])
-    return DanielewskiSurface(n, tuple(clean), variant, presentation, True)
-
-
-def _component_label(root: Fraction) -> str:
-    return f"y={fraction_str(root)}"
+    return DanielewskiSurface(n, tuple(clean), variant, presentation)
 
 
 def degenerate_fibers(surface: DanielewskiSurface) -> list[FiberDecomposition]:
@@ -210,7 +195,7 @@ def degenerate_fibers(surface: DanielewskiSurface) -> list[FiberDecomposition]:
     Fibers over x != 0 are graphs over the y-line, hence irreducible and
     reduced; they are not listed.
     """
-    components = tuple((_component_label(r), m) for r, m in surface.roots)
+    components = tuple((f"y={fraction_str(r)}", m) for r, m in surface.roots)
     reduced = all(m == 1 for _, m in components)
     irreducible = len(components) == 1
     return [FiberDecomposition(Fraction(0), components, reduced, irreducible)]

@@ -15,7 +15,6 @@ import operator
 import zlib
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional
 
 from .cech import CechClass, equivariant_class, pic_group, surface_class
 from .cylinder import (
@@ -175,13 +174,23 @@ def certificate_to_json(cert: IsoCertificate) -> dict:
     }
 
 
+def roots_to_json(roots) -> list:
+    return [[fraction_str(r), m] for r, m in roots]
+
+
+def profile_to_json(profile) -> list:
+    """A pole profile (``cech.pole_profile``) as ``[location, pair, order]`` rows."""
+    return [[fraction_str(loc), list(pair), order] for loc, pair, order in profile]
+
+
 def surface_to_json(s: DanielewskiSurface) -> dict:
+    # ``build_surface`` refuses every singular member
     return {
         "equation": s.equation_str(),
         "n": s.n,
         "variant": s.variant.value,
-        "roots": [[fraction_str(r), m] for r, m in s.roots],
-        "smooth": s.smooth,
+        "roots": roots_to_json(s.roots),
+        "smooth": True,
     }
 
 
@@ -300,12 +309,9 @@ def cylinder_proof(con: CylinderConstruction, kind: str = "cylinder_iso") -> dic
 
 
 def invariants_to_json(report: InvariantReport) -> dict:
-    def profile(entries) -> list:
-        return [[fraction_str(loc), list(pair), order] for loc, pair, order in entries]
-
     return {
-        "source_profile": profile(report.source_profile),
-        "target_profile": profile(report.target_profile),
+        "source_profile": profile_to_json(report.source_profile),
+        "target_profile": profile_to_json(report.target_profile),
         "orbit_equivalent": report.orbit_equivalent,
         "caveat": report.caveat,
     }
@@ -379,6 +385,7 @@ def _check_proof_shape(doc) -> dict:
             _field(claim, "polynomial", str, where)
             _field(claim, "cofactors", list, where, str)
     construction = _field(doc, "construction", dict, "proof")
+    _field(construction, "aux_power", int, "construction")
     splittings = _field(construction, "splittings", dict, "construction")
     for tag in _SPLITTING_TAGS:
         where = f"construction.splittings.{tag}"
@@ -450,9 +457,6 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             if any(all(map(operator.ge, exp, lead)) for exp in image.terms):
                 failures.append(f"{label} image of {name} is not reduced modulo the {side} generator")
                 unreduced = True
-    checksum = zlib.crc32(json.dumps(cert, sort_keys=True).encode())
-    probes = {side: _probe_point(pres, maps[side], zlib.crc32(side.encode(), checksum))
-              for side, pres in presentations.items()}
     specs = {}
     for side, pres in presentations.items():
         surface = doc[f"{side}_surface"]
@@ -466,12 +470,16 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             continue
         specs[side] = spec
         expected = {"n": spec.n, "variant": spec.variant.value, "smooth": True,
-                    "roots": [[fraction_str(r), m] for r, m in spec.roots]}
+                    "roots": roots_to_json(spec.roots)}
         failures.extend(f"{side}_surface: {key} does not match the equation"
                         for key, value in expected.items()
                         if json.dumps(surface.get(key)) != json.dumps(value))
         if not is_smooth(spec.n, spec.roots, spec.variant):
             failures.append(f"{side}_surface: the equation is singular")
+    checksum = zlib.crc32(json.dumps(cert, sort_keys=True).encode())
+    probes = {side: _probe_point(presentations[side].generators[0], maps[side],
+                                 zlib.crc32(side.encode(), checksum))
+              for side in specs}
     # one pullback per generator (there is one on each side), one round trip per variable
     required = {("generator_pullback", side, "0") for side in presentations}
     required |= {("round_trip", side, v) for side, pres in presentations.items() for v in pres.ring}
@@ -510,8 +518,8 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
             var = claim_doc["subject"]
             # a composite that misses the identity at a point of the surface certainly
             # fails, so the exact expansion, whose cost hostile images drive up, is skipped
-            probe = probes[which]
-            if (probe is not None and _evaluate(maps[other][var], probe[1]) != probe[0][var]) or (
+            point, values = probes[which]
+            if _evaluate(maps[other][var], values) != point[var] or (
                 not round_trip_residual(maps[other][var], maps[which], var, pres.generators[0]).is_zero()
             ):
                 failures.append(f"{name}: composite is not the identity modulo the ideal")
@@ -548,26 +556,20 @@ def _evaluate(p, point: dict) -> Fraction:
     return Fraction(total, scale * prod(v.denominator**t for v, t in zip(values, tops)))
 
 
-def _probe_point(pres: IdealPresentation, images: dict, seed: int) -> Optional[tuple]:
+def _probe_point(f: MultiPoly, images: dict, seed: int) -> tuple[dict, dict]:
     """A rational point of a cylinder and the values of ``images`` there.
 
-    x != 0, y and w are drawn from the bits of ``seed`` (a CRC-32 of the
-    certificate and the side), and z solves the generator, which must be
-    linear in z with a coefficient that does not vanish at the point (x^n
-    for every surface here): z = P(y)/x^n.  Every polynomial of the ideal
-    vanishes at the point, so a composite that differs from a variable there
-    is not the identity modulo the ideal.  Returns None when the generator
-    gives no such point.
+    ``f`` is a generator rebuilt from a surface equation, ``x^n z - P(y) [+ x]``
+    on ``CYLINDER_RING``.  x >= 1, y and w are drawn from the bits of ``seed``
+    (a CRC-32 of the certificate and the side), and z solves the generator,
+    linear in z with slope x^n != 0.  Every polynomial of the ideal vanishes
+    at the point, so a composite that differs from a variable there is not
+    the identity modulo the ideal.
     """
-    f = pres.generators[0]
-    if pres.ring != CYLINDER_RING or f.degree_in("z") != 1:
-        return None
     point = {"x": Fraction(1 + seed % 64), "y": Fraction((seed >> 6) % 256 - 128),
              "z": Fraction(0), "w": Fraction((seed >> 14) % 256 - 128)}
     constant = _evaluate(f, point)
     slope = _evaluate(f, {**point, "z": Fraction(1)}) - constant
-    if not slope:
-        return None
     point["z"] = -constant / slope
     return point, {name: _evaluate(image, point) for name, image in images.items()}
 
@@ -596,9 +598,12 @@ def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec)
 
 
 def _verify_construction(construction: dict) -> list[str]:
-    """Re-check the splitting identities stored with the proof, each with one
-    polynomial per chart of its class's curve, none above its degree bound."""
-    from .cylinder import GluedModel, FiberCoordinate, verify_splitting
+    """Re-check the construction stored with the proof: ``aux_power`` is one
+    the construction tries, ``aux_class`` is ``cylinder.auxiliary_class`` of
+    the recorded classes, ``fiber_product`` glues v by ``source_class`` and w
+    by ``aux_class``, and each splitting identity holds, with one polynomial
+    per chart of its class's curve, none above its degree bound."""
+    from .cylinder import AUX_POWERS, GluedModel, FiberCoordinate, auxiliary_class, verify_splitting
 
     failures: list[str] = []
     try:
@@ -607,6 +612,21 @@ def _verify_construction(construction: dict) -> list[str]:
         c_aux = class_from_json(construction["aux_class"])
     except Exception as exc:  # malformed class data
         return [f"construction classes unreadable: {exc}"]
+    power = construction["aux_power"]
+    if power not in AUX_POWERS:
+        failures.append(f"construction: aux_power {power} is not one of {AUX_POWERS}")
+    else:
+        try:
+            deepened = auxiliary_class(c_src, c_tgt, power) == c_aux
+        except ValueError:  # the recorded classes lie on different curves
+            deepened = False
+        if not deepened:
+            failures.append("construction: aux_class is not the shallower class deepened by aux_power")
+    glued = {"chart_ring": ["x", "v", "w"], "coordinates": [
+        {"name": "v", "class": construction["source_class"]},
+        {"name": "w", "class": construction["aux_class"]}]}
+    if json.dumps(construction.get("fiber_product"), sort_keys=True) != json.dumps(glued, sort_keys=True):
+        failures.append("construction: fiber_product is not v over source_class and w over aux_class")
 
     def replay(tag: str, transitions: CechClass, pullback: CechClass):
         data = construction["splittings"][tag]

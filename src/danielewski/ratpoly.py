@@ -26,20 +26,24 @@ that already passed that boundary, whose terms are valid by construction:
 (``ideals._PackedDivision.decode``).  Such a caller must pass a tuple ring, a
 fresh dict it does not keep, int-tuple exponents of the ring's arity and
 nonzero ``Fraction`` coefficients; each drops the zeros that cancellation
-creates.  The parser builds its term dict in one pass and goes through the
-public constructor once.
+creates.  The sum reader builds its term dict in one pass and goes through
+the public constructor once.
 
 Terms are ordered by graded reverse lexicographic order on the declared
 variable order.  The canonical text form (``sorted_terms`` order, ``^`` for
 powers, explicit ``*``, rationals as ``p/q``) is the interchange format used
-by the CLI and by JSON documents.
+by the CLI and by JSON documents.  One writer, ``_sum_str``, prints the sums
+of both types; it and ``fibration.format_equation`` write powers with
+``_product_str`` and the base ``v`` / ``(v - c)`` with ``_base_str``.  One
+reader, ``_read_sum``, takes the factor rule of ``poly_from_str`` or of
+``laurent_from_str``; ``_read_base`` reads the base, also for ``parse_surface``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import ParseError, RingMismatchError
 
@@ -50,9 +54,7 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -251,32 +253,8 @@ class MultiPoly:
 
     # -- text form ----------------------------------------------------
 
-    def _monomial_str(self, exp: Exponent) -> str:
-        pieces = []
-        for name, e in zip(self.ring, exp):
-            if e == 0:
-                continue
-            pieces.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(pieces)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for exp, coeff in self.sorted_terms():
-            mono = self._monomial_str(exp)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{fraction_str(mag)}*{mono}"
-            else:
-                body = fraction_str(mag)
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        return _sum_str(self.ring, self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.ring}, {self})"
@@ -419,10 +397,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compatible(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return LaurentPoly(self.variable, out, self.center)
+        return LaurentPoly(self.variable, _merged(self.terms, other.terms, False), self.center)
 
     __radd__ = __add__
 
@@ -430,9 +405,7 @@ class LaurentPoly:
         return LaurentPoly(self.variable, {e: -c for e, c in self.terms.items()}, self.center)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly(self.variable, {0: as_fraction(other)}, self.center)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -485,30 +458,9 @@ class LaurentPoly:
             object.__setattr__(self, "_hash", hash((self.variable, self.center, items)))
         return self._hash
 
-    def _base_str(self) -> str:
-        if self.center == 0:
-            return self.variable
-        sign = "-" if self.center > 0 else "+"
-        return f"({self.variable} {sign} {fraction_str(abs(self.center))})"
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        base = self._base_str()
-        chunks: list[str] = []
-        for exp in sorted(self.terms, reverse=True):
-            coeff = self.terms[exp]
-            mag = abs(coeff)
-            if exp == 0:
-                body = fraction_str(mag)
-            else:
-                mono = base if exp == 1 else f"{base}^{exp}"
-                body = mono if mag == 1 else f"{fraction_str(mag)}*{mono}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        terms = [((e,), self.terms[e]) for e in sorted(self.terms, reverse=True)]
+        return _sum_str((_base_str(self.variable, self.center),), terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -554,6 +506,42 @@ def poly_to_laurent(s: MultiPoly, variable: str, center=0) -> LaurentPoly:
     return LaurentPoly(variable, {i: c for i, c in enumerate(shifted)}, center)
 
 
+# -- text form ----------------------------------------------------------
+
+
+def _product_str(factors: Iterable[tuple[str, int]], sep: str = "*") -> str:
+    """Each ``(base, e)`` as ``base^e`` (``^1`` left out, e = 0 dropped), joined by ``sep``."""
+    return sep.join([base if e == 1 else f"{base}^{e}" for base, e in factors if e])
+
+
+def _base_str(variable: str, center) -> str:
+    """The base ``variable`` (center 0) or ``(variable - c)`` with ``c`` the center."""
+    if center == 0:
+        return variable
+    sign, size = ("-", center) if center > 0 else ("+", -center)
+    return f"({variable} {sign} {fraction_str(size)})"
+
+
+def _sum_str(bases: tuple[str, ...], terms: Iterable[tuple[Exponent, Fraction]]) -> str:
+    """The text of a sum of ``(exponents, coefficient)`` terms in the given
+    order, exponent k applying to ``bases[k]``; the empty sum is ``0``."""
+    chunks: list[str] = []
+    for exp, coeff in terms:
+        mono = _product_str(zip(bases, exp))
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{fraction_str(mag)}*{mono}"
+        else:
+            body = fraction_str(mag)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks) or "0"
+
+
 # -- text parsing -----------------------------------------------------
 
 
@@ -566,14 +554,10 @@ _TOKEN = re.compile(r"(\s+)|([0-9]+)|(\w+)|([-+*/^()=])|(.)", re.S)
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
+        self.text, self.index = text, 0
         self.items: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
         items = self.items
-        for match in _TOKEN.finditer(self.text):
+        for match in _TOKEN.finditer(text):
             kind = match.lastindex
             if kind == 1:
                 continue
@@ -634,47 +618,84 @@ def _parse_exponent(toks: _Tokens, allow_negative: bool) -> int:
     return sign * _parse_int(toks)[0]
 
 
-def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
-    """Parse the canonical text form of a polynomial in the given ring."""
-    ring = tuple(ring)
+def _read_base(toks: _Tokens, variable: str, center: Optional[Fraction] = None) -> Fraction:
+    """The center of a bare ``variable`` (0) or of ``(variable - c)`` / ``(variable + c)``.
+
+    With ``center`` given, a base at another point is an error.
+    """
+    tok = toks.next()
+    bare = tok[0] == "name"
+    name = tok if bare else toks.expect("name")
+    if name[1] != variable:
+        raise ParseError(f"unknown variable {name[1]!r}", name[2])
+    if bare:
+        if center:
+            raise ParseError(f"bare {variable!r} but expansion center is {center}", tok[2])
+        return Fraction(0)
+    op = toks.next()
+    if op[0] not in "+-":
+        raise ParseError("expected '+' or '-' inside shifted base", op[2])
+    value = _parse_unsigned_rational(toks)
+    stated = -value if op[0] == "+" else value
+    if center is not None and stated != center:
+        raise ParseError(f"expansion point {stated} does not match {center}", op[2])
+    toks.expect(")")
+    return stated
+
+
+def _read_sum(text: str, arity: int, read_factor, allow_negative: bool) -> dict:
+    """The terms of a sum in the text form, as ``{exponent tuple: coefficient}``.
+
+    Terms, joined by ``+`` or ``-`` (the first may carry a sign), are products
+    of unsigned rationals and factors with an optional ``^e``, joined by ``*``;
+    repeated monomials merge.  ``read_factor(toks)`` consumes one factor and
+    returns the index of its exponent, or None, consuming nothing, when the
+    next token starts no factor.
+    """
     toks = _Tokens(text)
     terms: dict[Exponent, Fraction] = {}
-    sign = 1
     tok = toks.peek()
+    sign = -1 if tok[0] == "-" else 1
     if tok[0] in "+-":
         toks.next()
-        sign = -1 if tok[0] == "-" else 1
     while True:
         coeff = Fraction(sign)
-        exp = [0] * len(ring)
+        exp = [0] * arity
         while True:
             tok = toks.peek()
             if tok[0] == "int":
                 coeff *= _parse_unsigned_rational(toks)
-            elif tok[0] == "name":
-                toks.next()
-                if tok[1] not in ring:
-                    raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
-                e = 1
-                if toks.peek()[0] == "^":
-                    e = _parse_exponent(toks, allow_negative=False)
-                exp[ring.index(tok[1])] += e
+            elif (index := read_factor(toks)) is not None:
+                exp[index] += _parse_exponent(toks, allow_negative) if toks.peek()[0] == "^" else 1
             else:
                 raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
-            if toks.peek()[0] == "*":
-                toks.next()
-                continue
-            break
+            if toks.peek()[0] != "*":
+                break
+            toks.next()
         exp = tuple(exp)
         terms[exp] = terms.get(exp, 0) + coeff
-        tok = toks.peek()
+        tok = toks.next()
         if tok[0] == "end":
-            return MultiPoly(ring, terms)
-        if tok[0] in "+-":
-            toks.next()
-            sign = -1 if tok[0] == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+            return terms
+        if tok[0] not in "+-":
+            raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+        sign = -1 if tok[0] == "-" else 1
+
+
+def poly_from_str(text: str, ring: Iterable[str]) -> MultiPoly:
+    """Parse the canonical text form of a polynomial in the given ring."""
+    ring = tuple(ring)
+
+    def ring_variable(toks: _Tokens) -> Optional[int]:
+        tok = toks.peek()
+        if tok[0] != "name":
+            return None
+        toks.next()
+        if tok[1] not in ring:
+            raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
+        return ring.index(tok[1])
+
+    return MultiPoly(ring, _read_sum(text, len(ring), ring_variable, allow_negative=False))
 
 
 def laurent_from_str(text: str, variable: str, center=0) -> LaurentPoly:
@@ -684,61 +705,12 @@ def laurent_from_str(text: str, variable: str, center=0) -> LaurentPoly:
     ``(variable - c)`` matching the given expansion point.
     """
     center = as_fraction(center)
-    toks = _Tokens(text)
-    terms: dict[int, Fraction] = {}
-    sign = 1
-    tok = toks.peek()
-    if tok[0] in "+-":
-        toks.next()
-        sign = -1 if tok[0] == "-" else 1
 
-    def parse_base(tok0) -> None:
-        # consumes a variable or "(var - c)" token group; returns nothing
-        if tok0[0] == "name":
-            toks.next()
-            if tok0[1] != variable:
-                raise ParseError(f"unknown variable {tok0[1]!r}", tok0[2])
-            if center != 0:
-                raise ParseError(f"bare {variable!r} but expansion center is {center}", tok0[2])
-            return
-        toks.expect("(")
-        name = toks.expect("name")
-        if name[1] != variable:
-            raise ParseError(f"unknown variable {name[1]!r}", name[2])
-        op = toks.next()
-        if op[0] not in "+-":
-            raise ParseError("expected '+' or '-' inside shifted base", op[2])
-        value = _parse_unsigned_rational(toks)
-        stated = -value if op[0] == "+" else value
-        if stated != center:
-            raise ParseError(f"expansion point {stated} does not match {center}", op[2])
-        toks.expect(")")
+    def base(toks: _Tokens) -> Optional[int]:
+        if toks.peek()[0] not in ("name", "("):
+            return None
+        _read_base(toks, variable, center)
+        return 0
 
-    while True:
-        coeff = Fraction(sign)
-        exponent = 0
-        while True:
-            tok = toks.peek()
-            if tok[0] == "int":
-                coeff *= _parse_unsigned_rational(toks)
-            elif tok[0] in ("name", "("):
-                parse_base(tok)
-                e = 1
-                if toks.peek()[0] == "^":
-                    e = _parse_exponent(toks, allow_negative=True)
-                exponent += e
-            else:
-                raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
-            if toks.peek()[0] == "*":
-                toks.next()
-                continue
-            break
-        terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
-        tok = toks.peek()
-        if tok[0] == "end":
-            return LaurentPoly(variable, terms, center)
-        if tok[0] in "+-":
-            toks.next()
-            sign = -1 if tok[0] == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+    terms = _read_sum(text, 1, base, allow_negative=True)
+    return LaurentPoly(variable, {e: c for (e,), c in terms.items()}, center)

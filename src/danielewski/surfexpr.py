@@ -21,7 +21,7 @@ from .errors import ParseError
 from .fibration import (
     DanielewskiSurface, Variant, _poly_from_roots, build_surface, format_equation,
 )
-from .ratpoly import MultiPoly, _parse_int, _parse_unsigned_rational, _Tokens
+from .ratpoly import MultiPoly, _parse_int, _parse_unsigned_rational, _read_base, _Tokens
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,11 @@ class SurfaceSpec:
         return _poly_from_roots(self.roots, self.variant is Variant.SHIFTED, self.n)
 
 
-def _parse_positive_int(toks: _Tokens) -> int:
+def _power(toks: _Tokens) -> int:
+    """An optional ``^k``, k a positive integer; 1 when there is none."""
+    if toks.peek()[0] != "^":
+        return 1
+    toks.next()
     value, position = _parse_int(toks)
     if value < 1:
         raise ParseError("exponent must be a positive integer", position)
@@ -62,56 +66,33 @@ def parse_surface(text: str) -> SurfaceSpec:
     tok = toks.expect("name")
     if tok[1] != "x":
         raise ParseError(f"expected 'x', found {tok[1]!r}", tok[2])
-    n = 1
-    if toks.peek()[0] == "^":
-        toks.next()
-        n = _parse_positive_int(toks)
+    n = _power(toks)
     _skip_star(toks)
     tok = toks.expect("name")
     if tok[1] != "z":
         raise ParseError(f"expected 'z', found {tok[1]!r}", tok[2])
     toks.expect("=")
 
+    tok = toks.peek()
+    if tok[0] == "int":
+        # explicit leading constant; only 1 keeps the product monic
+        value = _parse_unsigned_rational(toks)
+        if value != 1:
+            raise ParseError(f"non-monic leading constant {value}", tok[2])
+        _skip_star(toks)
     roots: list[tuple[Fraction, int]] = []
     variant = Variant.PLAIN
-    first_factor = True
     while True:
         tok = toks.peek()
-        if tok[0] == "int" and first_factor:
-            # explicit leading constant; only 1 keeps the product monic
-            value = _parse_unsigned_rational(toks)
-            if value != 1:
-                raise ParseError(f"non-monic leading constant {value}", tok[2])
-            _skip_star(toks)
-            first_factor = False
-            continue
-        if tok[0] == "name":
-            toks.next()
-            if tok[1] != "y":
-                raise ParseError(f"expected a factor in y, found {tok[1]!r}", tok[2])
-            root = Fraction(0)
-        elif tok[0] == "(":
-            toks.next()
-            name = toks.expect("name")
-            if name[1] != "y":
-                raise ParseError(f"expected 'y', found {name[1]!r}", name[2])
-            op = toks.next()
-            if op[0] not in "+-":
-                raise ParseError("expected '+' or '-' inside factor", op[2])
-            value = _parse_unsigned_rational(toks)
-            root = -value if op[0] == "+" else value
-            toks.expect(")")
-        else:
+        if tok[0] == "name" and tok[1] != "y":
+            raise ParseError(f"expected a factor in y, found {tok[1]!r}", tok[2])
+        if tok[0] not in ("name", "("):
             raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
-        mult = 1
-        if toks.peek()[0] == "^":
-            toks.next()
-            mult = _parse_positive_int(toks)
-        for seen, _ in roots:
-            if seen == root:
-                raise ParseError(f"duplicate root {seen}", tok[2])
+        root = _read_base(toks, "y")
+        mult = _power(toks)
+        if any(seen == root for seen, _ in roots):
+            raise ParseError(f"duplicate root {root}", tok[2])
         roots.append((root, mult))
-        first_factor = False
         _skip_star(toks)
         tok = toks.peek()
         if tok[0] == "end":
@@ -123,12 +104,9 @@ def parse_surface(text: str) -> SurfaceSpec:
                 raise ParseError(f"expected trailing 'x', found {trailer[1]!r}", trailer[2])
             end = toks.peek()
             if end[0] != "end":
-                raise ParseError(f"unexpected input after '- x'", end[2])
+                raise ParseError("unexpected input after '- x'", end[2])
             variant = Variant.SHIFTED
             break
-        if tok[0] in ("name", "(", "int"):
-            continue
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-    if not roots:
-        raise ParseError("at least one factor is required", len(text))
+        if tok[0] not in ("name", "(", "int"):
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
     return SurfaceSpec(text, n, tuple(roots), variant)

@@ -206,6 +206,50 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(aux_over_source(lambda s: s.update(degree_bound=-5)), on_certificate=False)
     assert failures == ["splitting aux_over_source: a per_chart polynomial exceeds the degree_bound"]
 
+    # The auxiliary class is the shallower class deepened by a power the
+    # construction tries, and the fiber product glues v by the source class
+    # and w by the auxiliary class.
+    def construction(edit):
+        return lambda doc: edit(doc["construction"])
+
+    failures = refused(construction(lambda c: c.update(aux_power=99)), on_certificate=False)
+    assert failures == ["construction: aux_power 99 is not one of (1, 2, 3)"]
+    failures = refused(construction(lambda c: c.update(aux_power=2)), on_certificate=False)
+    assert failures == ["construction: aux_class is not the shallower class deepened by aux_power"]
+    failures = refused(construction(lambda c: c["fiber_product"].update(chart_ring=["a", "b"])),
+                       on_certificate=False)
+    assert failures == ["construction: fiber_product is not v over source_class and w over aux_class"]
+
+    # Here aux_class is target_class (2*x^-2), so w glued by target_class is
+    # the recorded fiber product; v by target_class and w by source_class are not.
+    for index, key in ((0, "target_class"), (1, "source_class")):
+        def reglued(c):
+            c["fiber_product"]["coordinates"][index]["class"] = c[key]
+
+        failures = refused(construction(reglued), on_certificate=False)
+        assert failures == [
+            "construction: fiber_product is not v over source_class and w over aux_class"
+        ]
+    # a shallower target class on another curve cannot be carried to the source curve
+    def target_on_three_branches(c):
+        c["target_class"]["curve"]["marked_points"][0]["branches"].append(
+            {"id": "y=5", "multiplicity": 1})
+        c["target_class"]["parts"] = []
+
+    failures = refused(construction(target_on_three_branches), on_certificate=False)
+    assert failures == [
+        "construction: aux_class is not the shallower class deepened by aux_power",
+        "splitting aux_over_target: per_chart has 2 entries for 3 charts",
+        "splitting target_over_aux: identity fails on re-expansion",
+    ]
+    # an overstated degree bound is still a bound
+    doc = copy.deepcopy(original)
+    doc["construction"]["splittings"]["aux_over_source"]["degree_bound"] = 99
+    overstated = tmp_path / "overstated.json"
+    overstated.write_text(json.dumps(doc))
+    code, verdict, _ = run_json(capsys, "verify", str(overstated))
+    assert (code, verdict["failures"]) == (0, [])
+
     # An empty claim list proves nothing: every required claim is missing.
     failures = refused(lambda cert: cert.update(claims=[]))
     rings = original["certificate"]["source"]["ring"] + original["certificate"]["target"]["ring"]
@@ -334,6 +378,9 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     def splitting_is_a_list(doc):
         doc["construction"]["splittings"]["aux_over_source"] = []
 
+    def aux_power_is_a_string(doc):
+        doc["construction"]["aux_power"] = "1"
+
     def surface_without_equation(doc):
         del doc["target_surface"]["equation"]
 
@@ -351,8 +398,8 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
 
     for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
                  images_are_a_string, image_is_a_number, splitting_is_a_list,
-                 surface_without_equation, no_construction, unknown_kind, no_kind,
-                 counterexample_without_invariants):
+                 aux_power_is_a_string, surface_without_equation, no_construction,
+                 unknown_kind, no_kind, counterexample_without_invariants):
         doc = copy.deepcopy(original)
         edit(doc)
         bad = tmp_path / f"{edit.__name__}.json"

@@ -25,7 +25,7 @@ XYZ = ("x", "y", "z")
 def test_plain_two_simple_roots():
     s = build_surface(1, [(0, 1), (1, 1)], Variant.PLAIN)
     assert s.defining_polynomial == poly_from_str("x*z - y^2 + y", XYZ)
-    assert s.smooth
+    assert (s.n, s.roots, s.variant) == (1, ((0, 1), (1, 1)), Variant.PLAIN)
 
 
 def test_shifted_with_multiplicities():
@@ -35,7 +35,7 @@ def test_shifted_with_multiplicities():
         (poly_from_str("y - 1", XYZ) ** 3) * (poly_from_str("y + 2", XYZ) ** 2)
     ) + poly_from_str("x", XYZ)
     assert s.defining_polynomial == expected
-    assert s.smooth
+    assert (s.n, s.roots, s.variant) == (2, ((1, 3), (-2, 2)), Variant.SHIFTED)
 
 
 @pytest.mark.parametrize("roots, shifted, n", [
@@ -59,7 +59,7 @@ def test_shifted_repeated_root_needs_deep_exponent():
     with pytest.raises(SingularInputError):
         build_surface(1, [(0, 2)], Variant.SHIFTED)
     # n >= 2 is fine
-    assert build_surface(2, [(0, 2)], Variant.SHIFTED).smooth
+    assert build_surface(2, [(0, 2)], Variant.SHIFTED).equation_str() == "x^2 z = y^2 - x"
 
 
 def test_duplicate_roots_rejected():

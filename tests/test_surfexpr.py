@@ -89,7 +89,7 @@ def test_error_positions_reported():
 
 def test_to_surface_builds_and_validates():
     surface = parse_surface("x z = (y - 1) (y + 1)").to_surface()
-    assert surface.smooth
+    assert surface.equation_str() == "x^1 z = (y - 1) (y + 1)"
     with pytest.raises(SingularInputError):
         parse_surface("x z = y^2").to_surface()
 
