@@ -1,6 +1,6 @@
 """Exact certificate engine for ideals in polynomial rings over Q.
 
-Provides reduced Groebner bases (Buchberger with pair-elimination criteria),
+Provides reduced Groebner bases (Buchberger's algorithm on ``reduce_full``),
 ideal membership with explicit cofactor witnesses, the Jacobian smoothness
 criterion for hypersurfaces in A^3, and verification of polynomial maps and
 isomorphism certificates between affine varieties given by generators.  The
@@ -15,9 +15,8 @@ coefficients over one denominator and a pseudo-step where a leading
 coefficient does not divide.  Only terms at or above the smallest leading
 key go on the heap: a leading term divides only keys at least as large, so
 the terms below it stay in the remainder untouched.  ``reduce_full`` and
-``normal_form`` use it, and Buchberger's algorithm runs on it too: one
-packed object per run holds the growing basis, each element encoded once,
-and forms and reduces every S-polynomial on packed keys.
+``normal_form`` use it; Buchberger's algorithm forms its S-polynomials in
+``MultiPoly`` arithmetic and reduces each with ``reduce_full``.
 
 Substitution has its own kernel (``_substitute_rows``), nested Horner on
 polynomials kept packed from the first product to the last.  Each
@@ -67,9 +66,6 @@ def _quotient(b: Exponent, a: Exponent) -> Exponent:
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
 
-def _product(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def leading_term(f: MultiPoly, order: str = "grevlex") -> tuple[Exponent, Fraction]:
     if f.is_zero():
@@ -109,7 +105,7 @@ class _PackedDivision:
     primitive integer multiple with positive leading coefficient.
     """
 
-    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly] = ()):
+    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly]):
         top, mask = (1 << (width - 1)) - 1, (1 << width) - 1
         self.guard = sum(1 << (width * i + width - 1) for i in range(n))
         if order == "grevlex":
@@ -120,30 +116,20 @@ class _PackedDivision:
             shifts = [width * (n - 1 - i) for i in range(n)]
             self.one, self.weights = 0, [1 << s for s in shifts]
         base = top if order == "grevlex" else 0
-        self.shifts, self.mask, self.base = shifts, mask, base
         self.exponent = lambda k: tuple(abs(((k >> s) & mask) - base) for s in shifts)
         # (leading key - one, leading coefficient, [(key - one, -coefficient)], index)
         self.divisors: list[tuple[int, int, list, int]] = []
         self.scales: list[Fraction] = []  # divisor i times scales[i] is the stored multiple
         for i, p in enumerate(divisors):
             terms, den = self.encode(p)
-            entry, content = self.entry(terms, i)
-            self.divisors.append(entry)
+            lead = max(terms)
+            content = gcd(*terms.values())
+            if terms[lead] < 0:
+                content = -content
+            stored = {k - self.one: c // content for k, c in terms.items()}
+            lead -= self.one
+            self.divisors.append((lead, stored[lead], [(k, -c) for k, c in stored.items() if k != lead], i))
             self.scales.append(Fraction(den, content))
-
-    def entry(self, terms: dict, index: int) -> tuple[tuple, int]:
-        """The divisor entry at ``index`` of the nonzero integer ``terms``: its
-        primitive multiple with positive leading coefficient.  Returns the
-        entry and the signed content divided out."""
-        lead = max(terms)
-        content = 0
-        for c in terms.values():
-            content = gcd(content, c)
-        if terms[lead] < 0:
-            content = -content
-        stored = {k - self.one: c // content for k, c in terms.items()}
-        lead -= self.one
-        return (lead, stored[lead], [(k, -c) for k, c in stored.items() if k != lead], index), content
 
     def key(self, exp: Exponent) -> int:  # callers size the width to fit exp
         return self.one + sum(map(operator.mul, exp, self.weights))
@@ -305,158 +291,84 @@ class GroebnerBasis:
         return True
 
 
-def _gm_update(pairs: set, lts: list[Exponent], t: int) -> set:
-    """Gebauer-Moller pair update when element ``t`` joins the basis.
+def _reduced_basis(gens, order, ring, trace: bool):
+    """Buchberger's algorithm on ``reduce_full``: the reduced basis of ``gens``
+    and, when tracing, each element's cofactor vector over ``gens``.
 
-    Installs the new pairs (i, t) pruned by the M (strictly smaller lcm with
-    the same partner), F (one representative per lcm, none if some member of
-    the class is coprime), and B (coprime leading terms) criteria, and drops
-    old pairs whose lcm is properly covered by the newcomer.
+    Pairs are taken smallest lcm of their leading terms first, ties by
+    index; a pair with coprime leading terms is skipped.  The nonzero
+    remainder of each S-polynomial joins the basis, and a constant one ends
+    the run.  The minimal basis (smallest leading terms first) then divides
+    each element's tail: leading terms are pairwise non-divisible and no
+    tail term is divisible by its own element's leading term, so one
+    division each yields the reduced basis, returned monic by descending
+    leading term.
     """
-    lt_t = lts[t]
-    lcms = {i: _lcm(lts[i], lt_t) for i in range(t)}
-    survivors = [
-        i
-        for i in range(t)
-        if not any(
-            j != i and _divides(lcms[j], lcms[i]) and lcms[j] != lcms[i] for j in range(t)
-        )
-    ]
-    by_lcm: dict[Exponent, list[int]] = {}
-    for i in survivors:
-        by_lcm.setdefault(lcms[i], []).append(i)
-    new_pairs = []
-    for lcm_exp, members in by_lcm.items():
-        if any(lcms[i] == _product(lts[i], lt_t) for i in members):
-            continue  # a coprime member kills the whole class
-        new_pairs.append((min(members), t))
-    kept_old = set()
-    for i, j in pairs:
-        l = _lcm(lts[i], lts[j])
-        if _divides(lt_t, l) and _lcm(lts[i], lt_t) != l and _lcm(lts[j], lt_t) != l:
-            continue
-        kept_old.add((i, j))
-    kept_old.update(new_pairs)
-    return kept_old
+    if order not in ORDER_KEYS:
+        raise ValueError(f"unknown term order {order!r}")
+    key = ORDER_KEYS[order]
+    basis: list[MultiPoly] = []
+    leads: list[tuple[Exponent, Fraction]] = []
+    vecs: list = []
+    pairs: list = []  # a heap of (key of the lcm, i, j)
 
+    def add(g: MultiPoly, vec) -> bool:
+        """Append ``g`` and its pairs; True when it is a constant."""
+        lead = leading_term(g, order)
+        for i, (e, _) in enumerate(leads):
+            if any(a and b for a, b in zip(e, lead[0])):
+                heapq.heappush(pairs, (key(_lcm(e, lead[0])), i, len(basis)))
+        basis.append(g)
+        leads.append(lead)
+        vecs.append(vec)
+        return not any(lead[0])
 
-def _buchberger(packed: _PackedDivision, gens: Sequence[MultiPoly], ring, trace: bool):
-    """Buchberger's algorithm with Gebauer-Moller pair elimination, packed.
-
-    The basis lives in ``packed.divisors``: each element is encoded once, as
-    its primitive integer multiple.  The S-polynomial of elements i and j
-    with leading terms ``c_i x^e_i``, ``c_j x^e_j`` and ``g = gcd(c_i, c_j)``
-    is ``(c_j/g) x^(l-e_i) f_i - (c_i/g) x^(l-e_j) f_j`` (l the lcm of the
-    leading exponents), formed on packed keys without the leading terms and
-    reduced by ``packed.reduce``.  A nonzero constant remainder means the
-    ideal is (1) and ends the run.  Returns ``(lts, traces)``: the leading
-    exponents and, when tracing, each element's cofactor vector over
-    ``gens`` (else ``None``), built from the recorded quotients.
-    """
-    one, guard, divisors = packed.one, packed.guard, packed.divisors
-    lts: list[Exponent] = []
-    traces: list = []
-    pairs: set[tuple[int, int]] = set()
-
-    def add(terms: dict, den: int, vec) -> bool:
-        """Append an element; True when it is a constant."""
-        nonlocal pairs
-        entry, content = packed.entry(terms, len(divisors))
-        divisors.append(entry)
-        traces.append([v * Fraction(den, content) for v in vec] if trace else None)
-        lts.append(packed.exponent(entry[0] + one))
-        pairs = _gm_update(pairs, lts, len(lts) - 1)
-        return entry[0] == 0
+    def minus(vec: list, quotients: list, indices: Sequence[int]) -> list:
+        """``vec - sum_t quotients[t] * vecs[indices[t]]``."""
+        for qd, t in zip(quotients, indices):
+            if qd:
+                q = MultiPoly(ring, qd)
+                vec = [a - q * b for a, b in zip(vec, vecs[t])]
+        return vec
 
     for k, g in enumerate(gens):
         unit = [MultiPoly.const(ring, int(i == k)) for i in range(len(gens))] if trace else None
-        if add(*packed.encode(g), unit):
-            return lts, traces
-
+        if add(g, unit):
+            pairs.clear()
+            break
     while pairs:
-        i, j = min(pairs, key=lambda p: (packed.key(_lcm(lts[p[0]], lts[p[1]])), p))
-        pairs.discard((i, j))
-        (lead_i, c_i, tail_i, _), (lead_j, c_j, tail_j, _) = divisors[i], divisors[j]
-        lcm_exp = _lcm(lts[i], lts[j])
-        lcm_key, g = packed.key(lcm_exp), gcd(c_i, c_j)
-        m_i, m_j = c_j // g, c_i // g
-        terms: dict = {}
-        for q, m, tail in ((lcm_key - lead_i, -m_i, tail_i), (lcm_key - lead_j, m_j, tail_j)):
-            for k, c in tail:  # tails hold negated coefficients
-                s = q + k
-                if s & guard:
-                    raise _FieldOverflow
-                if v := terms.get(s, 0) + m * c:
-                    terms[s] = v
-                else:
-                    del terms[s]
-        quotients = [{} for _ in divisors] if trace else None
-        terms, den = packed.reduce(terms, 1, quotients)
-        if not terms:
+        _, i, j = heapq.heappop(pairs)
+        (e_i, c_i), (e_j, c_j) = leads[i], leads[j]
+        lcm_exp = _lcm(e_i, e_j)
+        m_i = MultiPoly.monomial(ring, _quotient(lcm_exp, e_i), 1 / c_i)
+        m_j = MultiPoly.monomial(ring, _quotient(lcm_exp, e_j), 1 / c_j)
+        quotients, remainder = reduce_full(m_i * basis[i] - m_j * basis[j], basis, order)
+        if remainder.is_zero():
             continue
         vec = None
         if trace:
-            mono_i = MultiPoly.monomial(ring, _quotient(lcm_exp, lts[i]), m_i)
-            mono_j = MultiPoly.monomial(ring, _quotient(lcm_exp, lts[j]), m_j)
-            vec = _minus_quotients(
-                packed, ring, [mono_i * a - mono_j * b for a, b in zip(traces[i], traces[j])],
-                quotients, traces,
-            )
-        if add(terms, den, vec):
+            vec = minus([m_i * a - m_j * b for a, b in zip(vecs[i], vecs[j])],
+                        quotients, range(len(basis)))
+        if add(remainder, vec):
             break
-    return lts, traces
 
-
-def _minus_quotients(packed: _PackedDivision, ring, vec: list, quotients: list, vecs) -> list:
-    """``vec - sum_t q_t * vecs[t]`` for the quotients recorded by ``packed.reduce``."""
-    for qd, other in zip(quotients, vecs):
-        if qd:
-            q = MultiPoly(ring, {packed.exponent(k): Fraction(c, d) for k, (c, d) in qd.items()})
-            vec = [a - q * b for a, b in zip(vec, other)]
-    return vec
-
-
-def _reduced_basis(gens, order, ring, trace: bool):
-    """Reduced basis and, when tracing, cofactor vectors, on one packed object.
-
-    Buchberger runs at the narrowest width that holds the generators and
-    restarts at double width on any overflow.  The minimal basis (smallest
-    leading terms first) becomes the divisor list; each element's tail is
-    reduced by it in that order, and the result is decoded monic.
-    """
-
-    def run(width: int):
-        packed = _PackedDivision(len(ring), order, width)
-        lts, traces = _buchberger(packed, gens, ring, trace)
-        elements, one = packed.divisors, packed.one
-        kept: list[int] = []
-        for i in sorted(range(len(elements)), key=lambda i: elements[i][0]):
-            if not any(_divides(lts[k], lts[i]) for k in kept):
-                kept.append(i)
-        packed.divisors = [elements[i][:3] + (pos,) for pos, i in enumerate(kept)]
-        vecs, polys, monic = [traces[i] for i in kept], [], []
-        # Leading terms are pairwise non-divisible and no tail term is divisible
-        # by its own element's leading term, so one pass over the tails yields
-        # the reduced basis.
-        for idx, (lead, lc, tail, _) in enumerate(packed.divisors):
-            quotients = [{} for _ in kept] if trace else None
-            terms, den = packed.reduce({k + one: -c for k, c in tail}, 1, quotients)
-            terms[lead + one] = lc * den
-            packed.divisors[idx], content = packed.entry(terms, idx)
-            polys.append(packed.decode(ring, terms, lc * den))
-            if trace:
-                vec = _minus_quotients(packed, ring, vecs[idx], quotients, vecs)
-                vecs[idx] = [v * Fraction(den, content) for v in vec]
-                monic.append([v * Fraction(1, lc) for v in vec])
-        return polys[::-1], monic[::-1]
-
-    return _at_fitting_width(max([1] + [g.total_degree() for g in gens]), run)
+    kept: list[int] = []
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0])):
+        if not any(_divides(leads[k][0], leads[i][0]) for k in kept):
+            kept.append(i)
+    minimal = [basis[i] for i in kept]
+    polys, monic = [], []
+    for i in kept:
+        (e, c), g = leads[i], basis[i]
+        quotients, rest = reduce_full(g - MultiPoly.monomial(ring, e, c), minimal, order)
+        polys.append(MultiPoly.monomial(ring, e, 1) + rest * (1 / c))
+        if trace:
+            monic.append([v * (1 / c) for v in minus(vecs[i], quotients, kept)])
+    return polys[::-1], monic[::-1]
 
 
 def groebner_basis(ideal: IdealPresentation, order: str = "grevlex") -> GroebnerBasis:
     """Reduced Groebner basis; deterministic and generator-order independent."""
-    if order not in ORDER_KEYS:
-        raise ValueError(f"unknown term order {order!r}")
     polys, _ = _reduced_basis(ideal.generators, order, ideal.ring, trace=False)
     return GroebnerBasis(ideal.ring, order, tuple(polys))
 

@@ -42,7 +42,7 @@ from .ideals import round_trip_residual
 from .ratpoly import (
     LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute,
 )
-from .surfexpr import SurfaceSpec, parse_surface
+from .surfexpr import parse_surface
 
 REPORT_SCHEMA = "danielewski.report/1"
 PROOF_SCHEMA = "danielewski.proof/1"
@@ -331,11 +331,12 @@ _SPLITTING_TAGS = ("aux_over_source", "source_over_aux", "aux_over_target", "tar
 
 
 def _field(obj: dict, key: str, kind: type, where: str, items: type | None = None):
-    """``obj[key]`` if it has JSON type ``kind`` (an array of ``items``), else raise."""
+    """``obj[key]`` if it has JSON type ``kind`` (an array of ``items``), else
+    raise.  A JSON boolean is no integer, though ``bool`` subclasses ``int``."""
     if key not in obj:
         raise ProofFormatError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kind) or (
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)) or (
         items is not None and not all(isinstance(v, items) for v in value)
     ):
         of = f" of {_JSON_TYPES[items]}s" if items else ""
@@ -412,9 +413,10 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     basis), and give the recorded ``n``, ``variant`` and ``roots``; ``smooth``
     must be recorded as true.  A side's round trips divide by its generator
     as a polynomial in y, in which ``x^n z - P(y)`` is monic, so they are
-    checked only when its equation rebuilt the generator.  A
-    counterexample's pole profiles and orbit verdict must be the ones its
-    two equations give (``_verify_invariants``).
+    checked only when its equation rebuilt the generator.  The recorded
+    ``source_class`` and ``target_class`` must be the classes of those
+    equations (``_verify_construction``), and a counterexample's pole
+    profiles and orbit verdict the ones they give (``_verify_invariants``).
     A document of the wrong shape raises ``ProofFormatError`` before any
     arithmetic: a ``kind`` other than ``cylinder_iso`` or ``counterexample``,
     a missing ``construction``, or a counterexample without ``invariants``.
@@ -533,9 +535,16 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     )):
         failures.append("certificate flags are not all true")
 
-    failures.extend(_verify_construction(doc["construction"]))
-    if doc["kind"] == "counterexample" and len(specs) == 2:
-        failures.extend(_verify_invariants(doc["invariants"], specs["source"], specs["target"]))
+    # building a surface computes no basis; a singular one has no class
+    try:
+        classes = {side: surface_class(spec.to_surface()) for side, spec in specs.items()}
+        uncomputable = []
+    except (UnsupportedError, ValueError) as exc:
+        classes, uncomputable = {}, [f"invariants: not computable from the equations: {exc}"]
+    failures.extend(_verify_construction(doc["construction"], classes))
+    failures.extend(uncomputable)
+    if doc["kind"] == "counterexample" and len(classes) == 2:
+        failures.extend(_verify_invariants(doc["invariants"], classes["source"], classes["target"]))
     return not failures, failures
 
 
@@ -574,19 +583,14 @@ def _probe_point(f: MultiPoly, images: dict, seed: int) -> tuple[dict, dict]:
     return point, {name: _evaluate(image, point) for name, image in images.items()}
 
 
-def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec) -> list[str]:
-    """Recompute a counterexample's pole profiles and orbit verdict.
+def _verify_invariants(recorded: dict, source: CechClass, target: CechClass) -> list[str]:
+    """Recompute a counterexample's pole profiles and orbit verdict from the
+    classes of its two equations.
 
-    The classes come from the surfaces of the two equations; building one
-    computes no basis, and a singular one is not computable.
     Orbit-equivalent classes are a failure even when recorded as such: the
     pair is then no counterexample.
     """
-    try:
-        classes = [surface_class(spec.to_surface()) for spec in (source, target)]
-        expected = invariants_to_json(invariant_report(*classes))
-    except (UnsupportedError, ValueError) as exc:
-        return [f"invariants: not computable from the equations: {exc}"]
+    expected = invariants_to_json(invariant_report(source, target))
     failures = [f"invariants: {key} does not match the classes of the equations"
                 for key in ("source_profile", "target_profile", "orbit_equivalent")
                 if json.dumps(recorded[key]) != json.dumps(expected[key])]
@@ -597,21 +601,26 @@ def _verify_invariants(recorded: dict, source: SurfaceSpec, target: SurfaceSpec)
     return failures
 
 
-def _verify_construction(construction: dict) -> list[str]:
-    """Re-check the construction stored with the proof: ``aux_power`` is one
-    the construction tries, ``aux_class`` is ``cylinder.auxiliary_class`` of
-    the recorded classes, ``fiber_product`` glues v by ``source_class`` and w
-    by ``aux_class``, and each splitting identity holds, with one polynomial
-    per chart of its class's curve, none above its degree bound."""
+def _verify_construction(construction: dict, classes: dict) -> list[str]:
+    """Re-check the construction stored with the proof: ``source_class`` and
+    ``target_class`` are the ``classes`` of the two equations (by side, for
+    the sides computed), ``aux_power`` is one the construction tries,
+    ``aux_class`` is ``cylinder.auxiliary_class`` of the recorded classes,
+    ``fiber_product`` glues v by ``source_class`` and w by ``aux_class``, and
+    each splitting identity holds, with one polynomial per chart of its
+    class's curve, none above its degree bound."""
     from .cylinder import AUX_POWERS, GluedModel, FiberCoordinate, auxiliary_class, verify_splitting
 
-    failures: list[str] = []
     try:
         c_src = class_from_json(construction["source_class"])
         c_tgt = class_from_json(construction["target_class"])
         c_aux = class_from_json(construction["aux_class"])
     except Exception as exc:  # malformed class data
         return [f"construction classes unreadable: {exc}"]
+    failures = [f"construction: {side}_class is not the class of the {side} equation"
+                for side, c in classes.items()
+                if json.dumps(class_to_json(c), sort_keys=True)
+                != json.dumps(construction[f"{side}_class"], sort_keys=True)]
     power = construction["aux_power"]
     if power not in AUX_POWERS:
         failures.append(f"construction: aux_power {power} is not one of {AUX_POWERS}")

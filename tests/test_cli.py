@@ -238,9 +238,21 @@ def test_verify_detects_tampering(tmp_path, capsys):
 
     failures = refused(construction(target_on_three_branches), on_certificate=False)
     assert failures == [
+        "construction: target_class is not the class of the target equation",
         "construction: aux_class is not the shallower class deepened by aux_power",
         "splitting aux_over_target: per_chart has 2 entries for 3 charts",
         "splitting target_over_aux: identity fails on re-expansion",
+    ]
+    # A whole construction of another pair agrees with itself, but its classes
+    # are not the ones of the two equations.
+    other_path = tmp_path / "other.json"
+    run(capsys, "cylinder-iso", "x z = (y - 3) (y + 5)", "x^2 z = (y - 3) (y + 5)",
+        "--out", str(other_path))
+    other = json.loads(other_path.read_text())["construction"]
+    failures = refused(lambda doc: doc.update(construction=other), on_certificate=False)
+    assert failures == [
+        "construction: source_class is not the class of the source equation",
+        "construction: target_class is not the class of the target equation",
     ]
     # an overstated degree bound is still a bound
     doc = copy.deepcopy(original)
@@ -381,6 +393,12 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     def aux_power_is_a_string(doc):
         doc["construction"]["aux_power"] = "1"
 
+    def aux_power_is_a_boolean(doc):  # bool subclasses int, but true is no integer
+        doc["construction"]["aux_power"] = True
+
+    def degree_bound_is_a_boolean(doc):
+        doc["construction"]["splittings"]["aux_over_source"]["degree_bound"] = True
+
     def surface_without_equation(doc):
         del doc["target_surface"]["equation"]
 
@@ -398,7 +416,8 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
 
     for edit in (claims_hold_a_number, claim_without_residual, no_flags, certificate_is_a_list,
                  images_are_a_string, image_is_a_number, splitting_is_a_list,
-                 aux_power_is_a_string, surface_without_equation, no_construction,
+                 aux_power_is_a_string, aux_power_is_a_boolean, degree_bound_is_a_boolean,
+                 surface_without_equation, no_construction,
                  unknown_kind, no_kind, counterexample_without_invariants):
         doc = copy.deepcopy(original)
         edit(doc)

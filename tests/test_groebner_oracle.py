@@ -1,8 +1,8 @@
-"""Buchberger on the packed kernel against sympy, and its cofactor witnesses.
+"""Buchberger's algorithm against sympy, and its cofactor witnesses.
 
 ``groebner_basis`` must equal ``sympy.groebner`` over Q, made monic, in the
 same term order, on random small ideals: unit ideals and ideals whose
-S-polynomials outgrow the first packed width included.  ``ideal_member_witness``
+reductions outgrow the first packed width included.  ``ideal_member_witness``
 must return cofactors with ``f == sum(cofactor_i * g_i) + remainder`` exactly,
 and its remainder must be the normal form modulo the basis.
 """
@@ -10,9 +10,9 @@ and its remainder must be the normal form modulo the basis.
 from fractions import Fraction
 
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from conftest import examples
+from hypothesis import example, given, strategies as st
 
-from danielewski import ideals
 from danielewski.ideals import (
     IdealPresentation,
     groebner_basis,
@@ -23,7 +23,7 @@ from danielewski.ratpoly import MultiPoly, poly_from_str
 
 XYZ = ("x", "y", "z")
 SYMBOLS = sympy.symbols(XYZ)
-ORACLE = settings(max_examples=60, deadline=None)
+ORACLE = examples(60)
 
 coefficients = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4)).filter(bool)
 
@@ -79,21 +79,3 @@ def test_witness_cofactor_identity(gens, h, f, order):
         assert remainder == normal_form(target, basis, order)
         assert member == remainder.is_zero()
 
-
-def test_one_packed_object_per_width_attempt(monkeypatch):
-    made = []
-
-    class Counting(ideals._PackedDivision):
-        def __init__(self, *args, **kwargs):
-            made.append(args[2])  # the width
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(ideals, "_PackedDivision", Counting)
-    f = poly_from_str("x^3*z - y^2 + 1", XYZ)
-    assert ideals.jacobian_smooth(f)
-    assert len(made) == 1
-    made.clear()
-    # (x - y^2, y - z^2) in lex needs z^4, beyond the width that holds degree 2
-    gb = groebner_basis(IdealPresentation(XYZ, ps("x - y^2", "y - z^2")), "lex")
-    assert str(gb.basis[0]) == "-z^4 + x"
-    assert made == [made[0], 2 * made[0]]
