@@ -352,15 +352,38 @@ def _part_exponents(c: CechClass) -> list:
     return sorted(tuple(sorted(g.terms)) for g in c.parts.values())
 
 
+def _ordered_parts(c: CechClass, r: int) -> list[list[dict]]:
+    """The part of each ordered branch pair (i, j) at the one marked point,
+    as ``table[i][j] = {exponent: coefficient}``, antisymmetric."""
+    table: list[list[dict]] = [[{} for _ in range(r)] for _ in range(r)]
+    for (_, (i, j)), g in c.parts.items():
+        table[i][j] = dict(g.terms)
+        table[j][i] = {e: -a for e, a in g.terms.items()}
+    return table
+
+
+def _matched(g1: dict, g2: dict, ratios: dict) -> bool:
+    """Whether ``g2`` has the support of ``g1`` and its coefficient of each
+    exponent e is ``ratios[e]`` times that of ``g1``; records the ratio of
+    an exponent not in ``ratios`` yet."""
+    if g1.keys() != g2.keys():
+        return False
+    return all(ratios.setdefault(e, g2[e] / a) == g2[e] / a for e, a in g1.items())
+
+
 def orbit_equivalent(c1: CechClass, c2: CechClass) -> bool:
     """Equivalence modulo branch permutations, scalings x -> lambda*x fixing the
     marked point, and projectivization (global rescaling of the class).
 
-    Decision: supports must match after some branch permutation; the scalars
-    are then solved exactly over the matched coefficients.  Scaling existence
-    is decided over the algebraic closure, so a False verdict means no
-    automorphism in this (scaling-and-permutation) group works; the group is
-    a lower bound for the full automorphism group of the curve.
+    Decision: a branch map sigma is built one branch at a time, and a partial
+    map is dropped at the first pair of mapped branches (j, i) whose part in
+    ``c2`` at (sigma(j), sigma(i)) differs in support from the part of ``c1``
+    at (j, i), or whose coefficient ratio at some exponent disagrees with the
+    ratio already fixed there.  For each complete map the scalars are then
+    solved exactly over the ratios.  Scaling existence is decided over the
+    algebraic closure, so a False verdict means no automorphism in this
+    (scaling-and-permutation) group works; the group is a lower bound for the
+    full automorphism group of the curve.
     """
     if c1.curve != c2.curve:
         raise ValueError("classes live on different curves")
@@ -375,35 +398,26 @@ def orbit_equivalent(c1: CechClass, c2: CechClass) -> bool:
     if _part_exponents(c1) != _part_exponents(c2):
         return False
     r = len(point.branches)
-    for sigma in itertools.permutations(range(r)):
-        moved = transform_class(c1, permutation=sigma)
-        support1 = {
-            (pair, e): coeff
-            for (_, pair), g in moved.parts.items()
-            for e, coeff in g.terms.items()
-        }
-        support2 = {
-            (pair, e): coeff
-            for (_, pair), g in c2.parts.items()
-            for e, coeff in g.terms.items()
-        }
-        if set(support1) != set(support2):
-            continue
-        ratios_by_exponent: dict[int, Fraction] = {}
-        consistent = True
-        for (pair, e), a in support1.items():
-            q = support2[(pair, e)] / a
-            if e in ratios_by_exponent:
-                if ratios_by_exponent[e] != q:
-                    consistent = False
-                    break
-            else:
-                ratios_by_exponent[e] = q
-        if not consistent:
-            continue
-        if _scaling_system_solvable(ratios_by_exponent):
-            return True
-    return False
+    parts1, parts2 = _ordered_parts(c1, r), _ordered_parts(c2, r)
+    sigma: list[int] = []
+
+    def extend(ratios: dict) -> bool:
+        i = len(sigma)
+        if i == r:
+            return _scaling_system_solvable(ratios)
+        for b in range(r):
+            if b in sigma:
+                continue
+            fixed = dict(ratios)
+            if all(_matched(parts1[j][i], parts2[a][b], fixed) for j, a in enumerate(sigma)):
+                sigma.append(b)
+                found = extend(fixed)
+                sigma.pop()
+                if found:
+                    return True
+        return False
+
+    return extend({})
 
 
 # -- Picard groups ------------------------------------------------------

@@ -8,18 +8,17 @@ bases, membership and ``jacobian_smooth`` are the general reference,
 computed on each call.  No CLI command reaches them: ``fibration.is_smooth``
 decides smoothness, and the certificates divide by one generator (below).
 
-Every multivariate division runs through one routine, ``_PackedDivision``:
-the heap division of Monagan and Pearce on packed-int monomials, largest term
-first, first divisor whose leading term divides it, with integer
-coefficients over one denominator and a pseudo-step where a leading
-coefficient does not divide.  Only terms at or above the smallest leading
-key go on the heap: a leading term divides only keys at least as large, so
-the terms below it stay in the remainder untouched.  ``reduce_full`` and
-``normal_form`` use it; Buchberger's algorithm forms its S-polynomials in
-``MultiPoly`` arithmetic and reduces each with ``reduce_full``.
+Every multivariate division is ``reduce_full``, the textbook loop on
+exponent tuples and ``Fraction`` coefficients: a heap pops the largest
+remaining term, and the first divisor whose leading term divides it divides
+it, or else it moves to the remainder.  ``normal_form`` is its
+remainder; Buchberger's algorithm forms its S-polynomials in ``MultiPoly``
+arithmetic and reduces each with ``reduce_full``.  On the CLI paths only the
+two pullback claims of ``verify_iso_certificate`` and the grevlex normal form
+of ``cylinder.reexpress_on_cylinder`` divide, each by one generator.
 
-Substitution has its own kernel (``_substitute_rows``), nested Horner on
-polynomials kept packed from the first product to the last.  Each
+Substitution is the one packed kernel (``_substitute_rows``), nested Horner
+on polynomials kept packed from the first product to the last.  Each
 polynomial is split into rows by every variable but one, x, and each row
 is one big integer: the row evaluated at x = 2^slot (Kronecker
 substitution), so that CPython's integer multiply forms every row product.
@@ -79,148 +78,14 @@ def leading_term(f: MultiPoly, order: str = "grevlex") -> tuple[Exponent, Fracti
 
 
 class _FieldOverflow(Exception):
-    """A packed exponent outgrew its field; the division reruns with wider fields."""
+    """A packed exponent outgrew its field; the substitution reruns with wider fields."""
 
 
-def _at_fitting_width(bound: int, run):
-    """``run(width)`` from the narrowest field width that holds exponents up to
-    ``bound``, doubling the width each time a packed exponent overflows."""
-    width = bound.bit_length() + 1
-    while True:
-        try:
-            return run(width)
-        except _FieldOverflow:
-            width *= 2
-
-
-class _PackedDivision:
-    """Division by a fixed divisor list on packed monomials (Monagan and Pearce).
-
-    A monomial is an int whose integer order is the term order: grevlex packs
-    the total degree above the complemented exponents ``top - e_i``, last
-    variable first; lex packs the exponents.  A product is one add, and
-    ``t - lead`` is the quotient key unless it sets a guard bit, which means
-    "does not divide".  A polynomial is ``(terms, den)``: integer
-    coefficients by key over one denominator.  Each divisor is stored as its
-    primitive integer multiple with positive leading coefficient.
-    """
-
-    def __init__(self, n: int, order: str, width: int, divisors: Sequence[MultiPoly]):
-        top, mask = (1 << (width - 1)) - 1, (1 << width) - 1
-        self.guard = sum(1 << (width * i + width - 1) for i in range(n))
-        if order == "grevlex":
-            shifts = [width * i for i in range(n)]
-            self.one = sum(top << s for s in shifts)  # the key of the monomial 1
-            self.weights = [(1 << (width * n)) - (1 << s) for s in shifts]
-        else:
-            shifts = [width * (n - 1 - i) for i in range(n)]
-            self.one, self.weights = 0, [1 << s for s in shifts]
-        base = top if order == "grevlex" else 0
-        self.exponent = lambda k: tuple(abs(((k >> s) & mask) - base) for s in shifts)
-        # (leading key - one, leading coefficient, [(key - one, -coefficient)], index)
-        self.divisors: list[tuple[int, int, list, int]] = []
-        self.scales: list[Fraction] = []  # divisor i times scales[i] is the stored multiple
-        for i, p in enumerate(divisors):
-            terms, den = self.encode(p)
-            lead = max(terms)
-            content = gcd(*terms.values())
-            if terms[lead] < 0:
-                content = -content
-            stored = {k - self.one: c // content for k, c in terms.items()}
-            lead -= self.one
-            self.divisors.append((lead, stored[lead], [(k, -c) for k, c in stored.items() if k != lead], i))
-            self.scales.append(Fraction(den, content))
-
-    def key(self, exp: Exponent) -> int:  # callers size the width to fit exp
-        return self.one + sum(map(operator.mul, exp, self.weights))
-
-    def encode(self, p: MultiPoly) -> tuple[dict, int]:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        return {self.key(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-    def decode(self, ring: tuple[str, ...], terms: dict, den: int) -> MultiPoly:
-        """The polynomial of nonzero integer ``terms / den`` in ``ring`` (of this arity)."""
-        return MultiPoly._unchecked(
-            ring, {self.exponent(k): Fraction(c, den) for k, c in terms.items()}
-        )
-
-    def reduce(self, terms: dict, den: int, quotients: Optional[list] = None):
-        """Remainder of ``terms / den``, in place; returns ``(terms, den)``.
-
-        Takes the largest term first and divides it by the first divisor
-        whose leading term divides it.  When that leading coefficient does
-        not divide the integer coefficient, all terms and ``den`` are first
-        multiplied by the smallest factor that makes it divide (a
-        pseudo-step), so every coefficient stays an integer.  With
-        ``quotients``, ``quotients[i][q] = (c, d)`` records ``c / d`` times
-        the stored multiple of divisor ``i`` at quotient key ``q``.
-        """
-        divisors, guard = self.divisors, self.guard
-        # A lead divides only keys at or above it, so terms below the smallest
-        # lead stay in the remainder and never go on the heap.
-        floor = min(d[0] for d in divisors) + self.one if divisors else None
-        heap = [-k for k in terms if k >= floor] if divisors else []
-        heapq.heapify(heap)
-        while heap:
-            t = -heapq.heappop(heap)
-            c = terms.get(t)
-            if c is None:
-                continue
-            for lead, lc, tail, i in divisors:
-                q = t - lead
-                if q & guard:
-                    continue
-                del terms[t]
-                if lc != 1:
-                    if c % lc:
-                        m = lc // gcd(c, lc)
-                        for k in terms:
-                            terms[k] *= m
-                        c, den = c * m, den * m
-                    c //= lc
-                if quotients is not None:
-                    quotients[i][q] = (c, den)
-                for fk, fc in tail:
-                    s = q + fk
-                    old = terms.get(s)
-                    if old is None:
-                        if s & guard:
-                            raise _FieldOverflow
-                        terms[s] = c * fc
-                        if s >= floor:
-                            heapq.heappush(heap, -s)
-                    elif new := old + c * fc:
-                        terms[s] = new
-                    else:
-                        del terms[s]
-                break
-        common = den  # divide out the content shared with the denominator
-        for v in terms.values():
-            common = gcd(common, v)
-            if common == 1:
-                return terms, den
-        return {k: v // common for k, v in terms.items()}, den // common
-
-
-def _divide(f: MultiPoly, basis: Sequence[MultiPoly], order: str, record: bool):
-    """``(quotients or None, remainder)`` of ``f`` by ``basis``, packed."""
-    if order not in ORDER_KEYS:
-        raise ValueError(f"unknown term order {order!r}")
-    bound = max([f.total_degree(), 1] + [p.total_degree() for p in basis])
-
-    def run(width: int):
-        packed = _PackedDivision(len(f.ring), order, width, basis)
-        quotients = [{} for _ in basis] if record else None
-        terms, den = packed.reduce(*packed.encode(f), quotients)
-        remainder = packed.decode(f.ring, terms, den)
-        if not record:
-            return None, remainder
-        return [
-            {packed.exponent(q): Fraction(c, d) * scale for q, (c, d) in qd.items()}
-            for qd, scale in zip(quotients, packed.scales)
-        ], remainder
-
-    return _at_fitting_width(bound, run)
+# the order keys negated, so that a min-heap pops the largest term first
+_NEGATED_KEYS = {
+    "grevlex": lambda e: (-sum(e), e[::-1]),
+    "lex": lambda e: tuple(-a for a in e),
+}
 
 
 def reduce_full(
@@ -232,16 +97,54 @@ def reduce_full(
 
     Returns ``(quotients, remainder)`` with
     ``f == sum_i quotients[i] * basis[i] + remainder`` exactly and no term of
-    the remainder divisible by any leading term of the basis.  Reduction
-    always uses the first applicable basis element, so the output is
-    deterministic for a fixed basis order.
+    the remainder divisible by any leading term of the basis.  The largest
+    remaining term is divided by the first basis element whose leading term
+    divides it, or moved to the remainder, so the output is deterministic for
+    a fixed basis order.  A basis element from another ring raises
+    ``RingMismatchError``.
     """
-    return _divide(f, basis, order, True)
+    if order not in ORDER_KEYS:
+        raise ValueError(f"unknown term order {order!r}")
+    for g in basis:
+        if g.ring != f.ring:
+            raise RingMismatchError(f"ring mismatch: {g.ring} vs {f.ring}")
+    negated = _NEGATED_KEYS[order]
+    divisors = []  # (leading exponent, leading coefficient, [(exponent, -coefficient)])
+    for g in basis:
+        lead, lc = leading_term(g, order)
+        divisors.append((lead, lc, [(e, -c) for e, c in g.terms.items() if e != lead]))
+    quotients: list[dict[Exponent, Fraction]] = [{} for _ in basis]
+    terms, remainder = dict(f.terms), {}
+    heap = [(negated(e), e) for e in terms]
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = terms.pop(t, None)
+        if c is None:  # cancelled, or a second entry of a term already taken
+            continue
+        for (lead, lc, tail), quotient in zip(divisors, quotients):
+            if _divides(lead, t):
+                q, c = _quotient(t, lead), c / lc
+                quotient[q] = c
+                for e, a in tail:
+                    s = tuple(map(operator.add, q, e))
+                    old = terms.get(s)
+                    if old is None:
+                        terms[s] = c * a
+                        heapq.heappush(heap, (negated(s), s))
+                    elif new := old + c * a:
+                        terms[s] = new
+                    else:
+                        del terms[s]
+                break
+        else:
+            remainder[t] = c
+    return quotients, MultiPoly._unchecked(f.ring, remainder)
 
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: str = "grevlex") -> MultiPoly:
-    """The remainder of ``reduce_full``, without recording quotients."""
-    return _divide(f, basis, order, False)[1]
+    """The remainder of ``reduce_full``."""
+    return reduce_full(f, basis, order)[1]
 
 
 # -- presentations and bases -------------------------------------------
@@ -424,7 +327,12 @@ def substitute_reduced(g: MultiPoly, images: Mapping[str, MultiPoly],
     degrees = [max(map(sum, used[v].terms), default=0) if v in used else 0 for v in g.ring]
     bound = max([sum(map(operator.mul, exp, degrees)) for exp in g.terms]
                 + [f.total_degree() if f is not None else 0, 1])
-    return _at_fitting_width(bound, lambda width: _substitute_rows(g, used, ring, monic, width))
+    width = bound.bit_length() + 1
+    while True:
+        try:
+            return _substitute_rows(g, used, ring, monic, width)
+        except _FieldOverflow:
+            width *= 2
 
 
 def _monic_lead(f: MultiPoly):

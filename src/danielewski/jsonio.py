@@ -16,14 +16,14 @@ import zlib
 from fractions import Fraction
 from math import lcm, prod
 
-from .cech import CechClass, equivariant_class, pic_group, surface_class
+from .cech import CechClass, equivariant_class, orbit_equivalent, pic_group, pole_profile
+from .cech import surface_class
 from .cylinder import (
     CYLINDER_RING,
     CounterexamplePair,
     CylinderConstruction,
     InvariantReport,
     Splitting,
-    invariant_report,
 )
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
@@ -587,14 +587,21 @@ def _verify_invariants(recorded: dict, source: CechClass, target: CechClass) -> 
     """Recompute a counterexample's pole profiles and orbit verdict from the
     classes of its two equations.
 
-    Orbit-equivalent classes are a failure even when recorded as such: the
-    pair is then no counterexample.
+    Classes on different quotient curves have no orbit verdict, which is a
+    failure of its own; their profiles are still compared.  Orbit-equivalent
+    classes are a failure even when recorded as such: the pair is then no
+    counterexample.
     """
-    expected = invariants_to_json(invariant_report(source, target))
+    same_curve = source.curve == target.curve
+    expected = {"source_profile": profile_to_json(pole_profile(source)),
+                "target_profile": profile_to_json(pole_profile(target))}
+    if same_curve:
+        expected["orbit_equivalent"] = orbit_equivalent(source, target)
     failures = [f"invariants: {key} does not match the classes of the equations"
-                for key in ("source_profile", "target_profile", "orbit_equivalent")
-                if json.dumps(recorded[key]) != json.dumps(expected[key])]
-    if expected["orbit_equivalent"]:
+                for key, value in expected.items() if json.dumps(recorded[key]) != json.dumps(value)]
+    if not same_curve:
+        failures.append("invariants: the two equations have different quotient curves")
+    elif expected["orbit_equivalent"]:
         failures.append(
             "invariants: the classes are orbit-equivalent, so the pair is no counterexample"
         )

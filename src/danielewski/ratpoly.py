@@ -22,12 +22,12 @@ rejects arity mismatches and negative exponents, coerces coefficients to
 the pair as given.  It is for results the library computes from polynomials
 that already passed that boundary, whose terms are valid by construction:
 ``+``, ``-``, negation, scalar and polynomial ``*``, ``ring_embed``,
-``partial_derivative`` and the packed kernel's decode
-(``ideals._PackedDivision.decode``).  Such a caller must pass a tuple ring, a
-fresh dict it does not keep, int-tuple exponents of the ring's arity and
-nonzero ``Fraction`` coefficients; each drops the zeros that cancellation
-creates.  The sum reader builds its term dict in one pass and goes through
-the public constructor once.
+``partial_derivative``, the remainder of ``ideals.reduce_full`` and the
+decode of the substitution kernel (``ideals._Rows.decode``).  Such a caller
+must pass a tuple ring, a fresh dict it does not keep, int-tuple exponents
+of the ring's arity and nonzero ``Fraction`` coefficients; each drops the
+zeros that cancellation creates.  The sum reader builds its term dict in
+one pass and goes through the public constructor once.
 
 Terms are ordered by graded reverse lexicographic order on the declared
 variable order.  The canonical text form (``sorted_terms`` order, ``^`` for

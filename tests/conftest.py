@@ -19,7 +19,7 @@ def examples(count: int) -> settings:
 def naive_division(f, divisors, order="grevlex"):
     """Textbook multivariate division in plain ``MultiPoly`` arithmetic.
 
-    The oracle for the packed division: takes the largest term left and
+    The oracle for ``reduce_full``: takes the largest term left and
     divides it by the first divisor whose leading term divides it, or moves
     it to the remainder.  Returns ``(quotients, remainder)`` with
     ``f == sum(q * g for q, g in zip(quotients, divisors)) + remainder``.

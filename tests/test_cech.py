@@ -196,6 +196,24 @@ def test_orbit_equivalent_rejects_different_pole_orders_without_permuting():
     assert time.perf_counter() - start < 0.1
 
 
+def test_orbit_search_prunes_partial_branch_maps():
+    """Parts (a_i - a_j) x^-1 with a = 0..7 against a = 0..7 with a_8 = 13
+    share their exponent sets, and no branch map matches their ratios.  The
+    search drops each partial map at its first mismatching pair instead of
+    trying all 9! permutations."""
+    curve = origins(9)
+
+    def differences(a):
+        return class_normal_form({(0, (i, j)): LaurentPoly("x", {-1: a[i] - a[j]})
+                                  for i, j in itertools.combinations(range(9), 2)}, curve)
+
+    c1, c2 = differences(range(9)), differences([*range(8), 13])
+    start = time.perf_counter()
+    assert not orbit_equivalent(c1, c2)
+    assert orbit_equivalent(c1, differences([1 - 3 * a for a in range(9)]))
+    assert time.perf_counter() - start < 1
+
+
 def test_orbit_projectivization():
     assert orbit_equivalent(single(DOUBLE, "2*x^-1"), single(DOUBLE, "3*x^-1"))
 

@@ -488,6 +488,31 @@ def test_counterexample_pipeline(tmp_path, capsys):
     assert code == 0 and verdict["verified"] is True
 
 
+def test_counterexample_over_different_curves_is_reported(tmp_path, capsys):
+    # The classes of the two equations lie on different quotient curves, so
+    # there is no orbit verdict; that is one failure among the others of the
+    # document, not a refusal of the whole report.
+    proof_path = tmp_path / "pair.json"
+    run(capsys, "counterexample", "x z = (y - 1) (y + 1)", "--out", str(proof_path))
+    doc = json.loads(proof_path.read_text())
+    doc["target_surface"]["equation"] = "x^2 z = (y - 1) (y + 2)"
+    doc["certificate"]["target"]["generators"] = ["x^2*z - y^2 - y + 2"]
+    proof_path.write_text(json.dumps(doc))
+    code, verdict, err = run_json(capsys, "verify", str(proof_path))
+    assert code == 1 and err == ""
+    assert verdict["verified"] is False
+    assert verdict["failures"] == [
+        "target_surface: roots does not match the equation",
+        "forward_well_defined[0]: recorded pullback does not match the maps",
+        "backward_well_defined[0]: cofactor identity fails",
+        "round_trip_target[y]: composite is not the identity modulo the ideal",
+        "round_trip_target[z]: composite is not the identity modulo the ideal",
+        "round_trip_target[w]: composite is not the identity modulo the ideal",
+        "construction: target_class is not the class of the target equation",
+        "invariants: the two equations have different quotient curves",
+    ]
+
+
 def test_counterexample_refuses_line_bundle(capsys):
     code, out, err = run(capsys, "counterexample", "x z = y")
     assert code == 1

@@ -162,6 +162,16 @@ def test_member_ring_mismatch():
         ideal_member(poly_from_str("x", ("x", "y")), i)
 
 
+def test_division_ring_mismatch():
+    # Zipped short, the exponents of x^2*y + y would divide by x*z - 1 as if
+    # it were x - 1 and leave 2*y.
+    f, divisor = p("x^2*y + y", ("x", "y")), p("x*z - 1")
+    with pytest.raises(RingMismatchError):
+        normal_form(f, [divisor])
+    with pytest.raises(RingMismatchError):
+        reduce_full(f, [divisor], "lex")
+
+
 def test_membership_witness_is_replayable():
     i = ideal("x*z - y^2 + 1", "x")
     ok, cofactors, remainder = ideal_member_witness(p("y^2 - 1"), i)

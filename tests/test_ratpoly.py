@@ -5,8 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import substitute_oracle
-from hypothesis import example, given, settings, strategies as st
+from conftest import examples, substitute_oracle
+from hypothesis import example, given, strategies as st
 
 from danielewski.errors import ParseError, RingMismatchError
 from danielewski.ideals import normal_form
@@ -25,6 +25,7 @@ from danielewski.ratpoly import (
 )
 
 XYZ = ("x", "y", "z")
+PROPERTIES = examples(80)
 
 
 def p(text, ring=XYZ):
@@ -107,7 +108,7 @@ IMAGE_RINGS = [XYZ, ("y",), ("x", "t"), ("u", "z", "s"), ()]
 assignments = st.dictionaries(st.sampled_from(XYZ), st.sampled_from(IMAGE_RINGS).flatmap(polys_in))
 
 
-@settings(max_examples=80, deadline=None)
+@PROPERTIES
 @given(polys_in(XYZ, 3), assignments)
 @example(MultiPoly.zero(XYZ), {"x": p("y")})
 @example(p("2*x*y + 3"), {})
@@ -280,7 +281,7 @@ def assert_canonical(q):
         assert all(type(e) is int and e >= 0 for e in exp)
 
 
-@settings(max_examples=80, deadline=None)
+@PROPERTIES
 @given(polys_in(XYZ, 3), polys_in(XYZ, 3), st.fractions(-3, 3, max_denominator=3),
        st.sampled_from(XYZ))
 @example(p("x + 2*y"), p("x + 2*y"), Fraction(0), "x")

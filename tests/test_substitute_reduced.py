@@ -1,4 +1,4 @@
-"""The packed division and the substitution kernel against textbook division.
+"""The division and the substitution kernel against textbook division.
 
 The oracle is ``naive_division`` from ``conftest``, in plain ``MultiPoly``
 arithmetic.  ``reduce_full`` and ``normal_form`` must match its quotients and
@@ -10,15 +10,12 @@ it must match the oracle's remainder of the per-term substitution
 (``substitute_oracle``) in lex order with v first (``monic_remainder``),
 which is unique.  Its rows evaluated at x = 2^slot must decode to the
 oracle's terms for coefficients far wider than a slot's share of machine
-words, with every final numerator inside the slot width, and the division
-with its heap floor must match the heap loop without one
-(``reference_reduce``).
+words, with every final numerator inside the slot width.
 """
 
-import heapq
 import time
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from conftest import examples, monic_remainder, monic_variable, naive_division, substitute_oracle
 import pytest
@@ -145,7 +142,7 @@ def test_divisor_list_that_is_not_a_groebner_basis(f, divisors, lc, order):
        st.sampled_from([2, 3]), st.sampled_from(["grevlex", "lex"]), st.data())
 def test_non_unit_leading_coefficient_with_rational_tail(f, g, imgs, gen, lc, den, order, data):
     # The integer leading coefficient rarely divides a term's coefficient,
-    # so the division takes pseudo-steps; the kernel scales v instead.
+    # so the quotients leave the integers; the kernel scales v instead.
     divisor = with_rational_tail(gen, lc, den, order)
     assert_division_matches_oracle(f, [divisor], order)
     tails = st.fractions(-3, 3, max_denominator=den).filter(bool)
@@ -365,64 +362,3 @@ def test_sparse_rows_stay_apart(monkeypatch):
     assert time.perf_counter() - start < 1
     assert max(spans) <= 3  # no segment spans the gap
 
-
-# -- the heap floor of the division -------------------------------------------
-
-
-def reference_reduce(self, terms, den, quotients=None):
-    """The heap division with every term on the heap: the reference for the
-    floor of ``_PackedDivision.reduce``, which skips terms below the smallest
-    leading key."""
-    divisors, guard = self.divisors, self.guard
-    heap = [-k for k in terms] if divisors else []
-    heapq.heapify(heap)
-    while heap:
-        t = -heapq.heappop(heap)
-        c = terms.get(t)
-        if c is None:
-            continue
-        for lead, lc, tail, i in divisors:
-            q = t - lead
-            if q & guard:
-                continue
-            del terms[t]
-            if lc != 1:
-                if c % lc:
-                    m = lc // gcd(c, lc)
-                    for k in terms:
-                        terms[k] *= m
-                    c, den = c * m, den * m
-                c //= lc
-            if quotients is not None:
-                quotients[i][q] = (c, den)
-            for fk, fc in tail:
-                s = q + fk
-                old = terms.get(s)
-                if old is None:
-                    if s & guard:
-                        raise ideals._FieldOverflow
-                    terms[s] = c * fc
-                    heapq.heappush(heap, -s)
-                elif new := old + c * fc:
-                    terms[s] = new
-                else:
-                    del terms[s]
-            break
-    common = den
-    for v in terms.values():
-        common = gcd(common, v)
-        if common == 1:
-            return terms, den
-    return {k: v // common for k, v in terms.items()}, den // common
-
-
-@KERNEL
-@given(dividends, st.lists(generators, min_size=2, max_size=4), st.sampled_from([2, -3, 4, 6]),
-       st.sampled_from([2, 3]))
-def test_reduce_full_matches_the_heap_loop_without_a_floor(f, divisors, lc, den):
-    # A non-unit leading coefficient over a rational tail forces pseudo-steps.
-    divisors = [with_rational_tail(divisors[0], lc, den)] + divisors[1:]
-    quotients, remainder = reduce_full(f, divisors)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals._PackedDivision, "reduce", reference_reduce)
-        assert reduce_full(f, divisors) == (quotients, remainder)
