@@ -27,7 +27,6 @@ from .cylinder import (
     CylinderConstruction,
     GluedModel,
     Splitting,
-    attach_surface_functions,
     counterexample_pair,
     cylinder_construction,
     cylinder_iso,
@@ -44,6 +43,7 @@ from .errors import (
     RingMismatchError,
     SingularInputError,
     UnsupportedError,
+    UsageError,
 )
 from .fibration import (
     CounterexampleCandidate,

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .cech import h1_push, orbit_equivalent, pole_profile
+from .cech import class_normal_form, h1_push, orbit_equivalent, pole_profile
 from .cylinder import DEFAULT_SCHEDULE, counterexample_pair, cylinder_construction
 from .errors import (
     CocycleError,
@@ -35,6 +35,7 @@ from .errors import (
     RingMismatchError,
     SingularInputError,
     UnsupportedError,
+    UsageError,
 )
 from .fibration import MarkedPoint, MultifoldCurve
 from .ratpoly import laurent_from_str, poly_from_str
@@ -63,16 +64,20 @@ def _schedule(degree_bound: int | None):
 
 def _parse_class(text: str, branches: int):
     """A cocycle argument: inline Laurent text (two-branch pair (0,1) at 0)
-    or @FILE pointing at class JSON."""
-    from .cech import class_normal_form
-
+    or @FILE pointing at class JSON.  Inline text other than 0 needs
+    ``branches`` 2; a class on other branches is given as @FILE."""
+    if branches < 1:
+        raise UsageError(f"--branches must be at least 1, not {branches}; give other "
+                         "classes as @FILE")
     if text.startswith("@"):
-        doc = json.loads(Path(text[1:]).read_text(encoding="utf-8"))
-        return jsonio.class_from_json(doc)
+        return jsonio.class_from_json(jsonio.read_json(text[1:]))
     curve = MultifoldCurve(
         "x", (MarkedPoint(0, tuple((f"b{i}", 1) for i in range(branches))),)
     )
     g = laurent_from_str(text, "x")
+    if branches != 2 and not g.is_zero():
+        raise UsageError(f"inline text is a class on 2 branches, not --branches {branches}; "
+                         "give the class as @FILE")
     raw = {} if g.is_zero() else {(0, (0, 1)): g}
     return class_normal_form(raw, curve)
 
@@ -99,7 +104,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = json.loads(Path(args.proof).read_text(encoding="utf-8"))
+    doc = jsonio.read_json(args.proof)
     ok, failures = jsonio.verify_proof(doc)
     _emit(
         {
@@ -147,6 +152,8 @@ def cmd_cocycle_profile(args) -> int:
 def cmd_cocycle_orbit(args) -> int:
     c1 = _parse_class(args.first, args.branches)
     c2 = _parse_class(args.second, args.branches)
+    if c1.curve != c2.curve:
+        raise UsageError("the two classes live on different curves; give both on one curve")
     equivalent = orbit_equivalent(c1, c2)
     _emit(
         {
@@ -229,6 +236,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ProofFormatError) as exc:
         print(f"input error: {exc!r}", file=sys.stderr)

@@ -19,11 +19,10 @@ x^k f_i + x^k g_ij is a polynomial, so a chart polynomial is written on
 another chart by one ``substitute`` of its x-padded copy (see ``_across``),
 and the re-expression on the cylinder is one reduced substitution modulo the
 surface's generator.  One helper, ``_chart_embedding``, writes a surface's y
-and z on a chart; it serves the global functions of a surface model, the
-re-expression check and the images of the maps, whose terms are reduced
-modulo the generator (grevlex normal forms).  The construction is
-symmetric in the two surfaces, so the backward map is the forward recipe
-run with the surfaces swapped.
+and z on a chart; it serves the re-expression check and the images of the
+maps, whose terms are reduced modulo the generator (grevlex normal forms).
+The construction is symmetric in the two surfaces, so the backward map is
+the forward recipe run with the surfaces swapped.
 """
 
 from __future__ import annotations
@@ -35,23 +34,19 @@ from typing import Optional, Sequence
 
 from .cech import CechClass, divide_by_power, orbit_equivalent, pole_profile, surface_class
 from .errors import NoSplittingFound, NotComparable, UnsupportedError
-from .fibration import DanielewskiSurface, MultifoldCurve, relatively_connected_quotient
+from .fibration import DanielewskiSurface, LineBundle, MultifoldCurve, build_surface, classify_cancellation
 from .ideals import (
     IdealPresentation,
     IsoCertificate,
     PolyMap,
     normal_form,
     substitute_reduced,
-    unchecked_certificate,
     verify_iso_certificate,
 )
 from .linsolve import solve_linear
 from .ratpoly import Exponent, MultiPoly, grevlex_key, ring_embed, substitute
 
 DEFAULT_SCHEDULE = (2, 4, 6, 8)
-# the powers by which the auxiliary class deepens the shallower class, in the
-# order the construction tries them
-AUX_POWERS = (1, 2, 3)
 CYLINDER_RING = ("x", "y", "z", "w")
 
 
@@ -71,14 +66,11 @@ class GluedModel:
     """Chart-and-transition presentation of a torsor (or fiber product).
 
     Chart i has coordinate ring Q[base, c_1, ..., c_k]; crossing from chart i
-    to chart j adds the pair part of each coordinate's class.  Optional named
-    global functions carry one chart expression each, which must agree under
-    the transitions (see ``verify_global_functions``).
+    to chart j adds the pair part of each coordinate's class.
     """
 
     curve: MultifoldCurve
     coordinates: tuple[FiberCoordinate, ...]
-    global_functions: tuple[tuple[str, tuple[MultiPoly, ...]], ...] = ()
 
     @property
     def n_charts(self) -> int:
@@ -168,16 +160,6 @@ def with_coordinate(model: GluedModel, coordinate: str, c: CechClass) -> GluedMo
     return GluedModel(model.curve, model.coordinates + (FiberCoordinate(coordinate, c),))
 
 
-def verify_global_functions(model: GluedModel) -> bool:
-    """Exact transition agreement of every named global function."""
-    for _, charts in model.global_functions:
-        for i, j in model.branch_pairs():
-            clear, on_i = _across(model, charts[j], i, j)
-            if on_i != _pad_x(charts[i], (), clear):
-                return False
-    return True
-
-
 def _chart_embedding(surface: DanielewskiSurface, chart: int, ring: tuple[str, ...]) -> dict:
     """The surface coordinates x, y, z on one chart, as polynomials in ``ring``.
 
@@ -199,33 +181,6 @@ def _chart_embedding(surface: DanielewskiSurface, chart: int, ring: tuple[str, .
         "y": MultiPoly(ring, {(0, 0, *rest): values[chart], (n, 1, *rest): 1}),
         "z": MultiPoly(ring, {(n * k, k + 1, *rest): c for k, c in enumerate(factors)}),
     }
-
-
-def attach_surface_functions(model: GluedModel, surface: DanielewskiSurface) -> GluedModel:
-    """Attach the embedding coordinates x, y, z as global functions.
-
-    Chart i carries ``_chart_embedding`` of the surface; agreement under the
-    transitions and vanishing of the defining equation are verified exactly
-    on every chart.
-    """
-    if len(model.coordinates) != 1:
-        raise ValueError("expected the one-coordinate torsor model of a surface")
-    if model.coordinates[0].transitions != surface_class(surface):
-        raise ValueError("model transitions do not match the surface class")
-    f = surface.defining_polynomial
-    charts = [_chart_embedding(surface, i, model.chart_ring) for i in range(model.n_charts)]
-    for i, embedding in enumerate(charts):
-        # the defining equation vanishes identically on the chart
-        if not substitute(f, embedding).is_zero():
-            raise RuntimeError(f"chart {i} does not satisfy the defining equation")
-    attached = GluedModel(
-        model.curve,
-        model.coordinates,
-        tuple((name, tuple(e[name] for e in charts)) for name in ("x", "y", "z")),
-    )
-    if not verify_global_functions(attached):
-        raise RuntimeError("surface functions disagree under transitions")
-    return attached
 
 
 # -- the splitting solver --------------------------------------------------
@@ -404,7 +359,6 @@ class CylinderConstruction:
     source_class: CechClass
     target_class: CechClass
     aux_class: CechClass
-    aux_power: int
     split_aux_over_source: Splitting
     split_source_over_aux: Splitting
     split_aux_over_target: Splitting
@@ -413,46 +367,34 @@ class CylinderConstruction:
     certificate: IsoCertificate
 
 
-def _require_comparable(source: DanielewskiSurface, target: DanielewskiSurface) -> None:
-    for s in (source, target):
-        try:
-            surface_class(s)
-        except UnsupportedError as exc:
-            raise UnsupportedError(f"cylinder construction needs torsor classes: {exc}")
-    q1 = relatively_connected_quotient(source)
-    q2 = relatively_connected_quotient(target)
-    if len(q1.marked_points) != len(q2.marked_points):
-        raise NotComparable("quotient curves have different marked points")
-    if q1.marked_points:
-        b1 = len(q1.marked_points[0].branches)
-        b2 = len(q2.marked_points[0].branches)
-        if q1.marked_points[0].location != q2.marked_points[0].location or b1 != b2:
-            raise NotComparable("quotient curves have different branch data")
+def _shape(curve: MultifoldCurve) -> list:
+    """Location and branch count of each marked point: the curve up to branch ids."""
+    return [(point.location, len(point.branches)) for point in curve.marked_points]
 
 
 def _transport(c: CechClass, curve: MultifoldCurve) -> CechClass:
     """Carry a class to a combinatorially equal curve (branch ids may differ)."""
     if c.curve == curve:
         return c
-    if len(c.curve.marked_points) != len(curve.marked_points):
+    if _shape(c.curve) != _shape(curve):
         raise NotComparable("cannot transport between different curve shapes")
-    for p1, p2 in zip(c.curve.marked_points, curve.marked_points):
-        if p1.location != p2.location or len(p1.branches) != len(p2.branches):
-            raise NotComparable("cannot transport between different curve shapes")
     return CechClass(curve, dict(c.parts))
 
 
-def auxiliary_class(c_src: CechClass, c_tgt: CechClass, power: int) -> CechClass:
+def auxiliary_class(c_src: CechClass, c_tgt: CechClass) -> CechClass:
     """The auxiliary torsor's class: the shallower class (pole order n for
-    x^n z = P(y); the source's on a tie), on the source curve, deepened by
-    ``power``.  Its pole then sits between the two class poles (or just above
-    both), which keeps all four splittings inside the degree schedule in
-    either direction of the pair.  Any nonzero-part class works for the trick
-    since its total space is affine.
+    x^n z = P(y); the source's on a tie), on the source curve, deepened by 1.
+    Its pole then sits between the two class poles (or just above both),
+    which keeps all four splittings inside the degree schedule in either
+    direction of most pairs.  Any nonzero-part class works for the trick
+    since its total space is affine, but the schedule bounds the splittings:
+    for two roots, the depths (1, 5), (1, 6), (3, 5), (3, 6) and (4, 4), in
+    either order, split only with a class deepened by 2 or 3, and the
+    construction refuses them.
     """
     depth = [max((g.pole_order() for g in c.parts.values()), default=0) for c in (c_src, c_tgt)]
     shallow = c_src if depth[0] <= depth[1] else _transport(c_tgt, c_src.curve)
-    return divide_by_power(shallow, power)
+    return divide_by_power(shallow, 1)
 
 
 def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitting]):
@@ -516,27 +458,30 @@ def cylinder_construction(
     target: DanielewskiSurface,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
 ) -> CylinderConstruction:
-    """Build and certify an isomorphism of cylinders over the two surfaces."""
-    _require_comparable(source, target)
-    c_src = surface_class(source)
-    c_tgt = surface_class(target)
+    """Build and certify an isomorphism of cylinders over the two surfaces.
+
+    The classes are those of ``surface_class``, whose curves are the
+    quotient curves; they must have the same marked points and branch data.
+    The four splittings run against ``auxiliary_class``; a splitting that
+    is not found raises ``NoSplittingFound``.
+    """
+    try:
+        c_src, c_tgt = surface_class(source), surface_class(target)
+    except UnsupportedError as exc:
+        raise UnsupportedError(f"cylinder construction needs torsor classes: {exc}")
+    shapes = _shape(c_src.curve), _shape(c_tgt.curve)
+    if len(shapes[0]) != len(shapes[1]):
+        raise NotComparable("quotient curves have different marked points")
+    if shapes[0] != shapes[1]:
+        raise NotComparable("quotient curves have different branch data")
     model_src = torsor_to_glued(c_src, "v")
     model_tgt = torsor_to_glued(c_tgt, "u")
-    failure: Optional[NoSplittingFound] = None
-    for aux_power in AUX_POWERS:
-        c_aux = auxiliary_class(c_src, c_tgt, aux_power)
-        model_aux = torsor_to_glued(c_aux, "w")
-        try:
-            split_p = splitting_solve(model_src, c_aux, schedule)
-            split_q = splitting_solve(model_aux, c_src, schedule)
-            split_p2 = splitting_solve(model_tgt, _transport(c_aux, c_tgt.curve), schedule)
-            split_q2 = splitting_solve(model_aux, _transport(c_tgt, c_src.curve), schedule)
-        except NoSplittingFound as exc:
-            failure = exc
-            continue
-        break
-    else:
-        raise failure
+    c_aux = auxiliary_class(c_src, c_tgt)
+    model_aux = torsor_to_glued(c_aux, "w")
+    split_p = splitting_solve(model_src, c_aux, schedule)
+    split_q = splitting_solve(model_aux, c_src, schedule)
+    split_p2 = splitting_solve(model_tgt, _transport(c_aux, c_tgt.curve), schedule)
+    split_q2 = splitting_solve(model_aux, _transport(c_tgt, c_src.curve), schedule)
     forward_images = _embedded_images((split_p, split_q, split_p2, split_q2), source, target)
     backward_images = _embedded_images((split_p2, split_q2, split_p, split_q), target, source)
 
@@ -544,7 +489,7 @@ def cylinder_construction(
     tgt_pres = cylinder_presentation(target)
     forward = PolyMap(src_pres, tgt_pres, forward_images)
     backward = PolyMap(tgt_pres, src_pres, backward_images)
-    certificate = verify_iso_certificate(unchecked_certificate(forward, backward))
+    certificate = verify_iso_certificate(forward, backward)
     if not certificate.is_valid():
         raise RuntimeError("cylinder isomorphism failed certificate verification")
 
@@ -555,7 +500,6 @@ def cylinder_construction(
         source_class=c_src,
         target_class=c_tgt,
         aux_class=c_aux,
-        aux_power=aux_power,
         split_aux_over_source=split_p,
         split_source_over_aux=split_q,
         split_aux_over_target=split_p2,
@@ -622,8 +566,6 @@ def counterexample_pair(
     changes every pole order; the cylinders stay isomorphic by the fiber
     product trick.  Line-bundle input is refused: cancellation holds there.
     """
-    from .fibration import LineBundle, build_surface, classify_cancellation
-
     if isinstance(classify_cancellation(surface), LineBundle):
         raise ValueError(
             "the fibration is a line bundle over the base; cancellation holds "

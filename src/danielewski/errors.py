@@ -37,6 +37,10 @@ class ProofFormatError(ValueError):
     """A proof document lacks a key or holds a value of the wrong JSON type."""
 
 
+class UsageError(ValueError):
+    """Command-line arguments that do not make a valid request."""
+
+
 class ParseError(ValueError):
     """Syntax error with a position in the input text."""
 

@@ -45,7 +45,7 @@ import functools
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
@@ -754,21 +754,27 @@ class Claim:
 
 @dataclass(frozen=True, eq=False)
 class IsoCertificate:
-    """A pair of polynomial maps plus machine-checked inverse-ness flags.
+    """A pair of polynomial maps plus the claims that check them.
 
-    The four flags are (forward well-defined, backward well-defined,
-    backward-after-forward is the identity modulo the source ideal,
-    forward-after-backward is the identity modulo the target ideal).  They
-    are only ever set by ``verify_iso_certificate``.
+    The four flags are read off the claims: forward well-defined, backward
+    well-defined, backward-after-forward is the identity modulo the source
+    ideal, forward-after-backward is the identity modulo the target ideal.
+    Each holds when its side has claims of its kind and all of them hold.
+    Certificates are made by ``verify_iso_certificate``.
     """
 
     forward: PolyMap
     backward: PolyMap
-    forward_well_defined: Optional[bool] = None
-    backward_well_defined: Optional[bool] = None
-    backward_forward_identity: Optional[bool] = None
-    forward_backward_identity: Optional[bool] = None
-    evidence: tuple[Claim, ...] = field(default=())
+    evidence: tuple[Claim, ...]
+
+    def _holds(self, kind: str, side: str) -> bool:
+        claims = [c for c in self.evidence if c.kind == kind and c.ideal == side]
+        return bool(claims) and all(c.ok for c in claims)
+
+    forward_well_defined = property(lambda self: self._holds("generator_pullback", "source"))
+    backward_well_defined = property(lambda self: self._holds("generator_pullback", "target"))
+    backward_forward_identity = property(lambda self: self._holds("round_trip", "source"))
+    forward_backward_identity = property(lambda self: self._holds("round_trip", "target"))
 
     @property
     def flags(self) -> tuple:
@@ -780,13 +786,7 @@ class IsoCertificate:
         )
 
     def is_valid(self) -> bool:
-        return all(flag is True for flag in self.flags)
-
-
-def unchecked_certificate(forward: PolyMap, backward: PolyMap) -> IsoCertificate:
-    if forward.source != backward.target or forward.target != backward.source:
-        raise ValueError("forward and backward maps do not pair up structurally")
-    return IsoCertificate(forward=forward, backward=backward)
+        return all(self.flags)
 
 
 def round_trip_residual(
@@ -807,18 +807,18 @@ def round_trip_residual(
     return substitute_reduced(outer, inner_images, f) - identity
 
 
-def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
-    """Compute all four flags and attach membership witnesses.
+def verify_iso_certificate(forward: PolyMap, backward: PolyMap) -> IsoCertificate:
+    """The certificate of two maps, with every membership claim checked.
 
-    Both presentations must have one generator, and every claim divides
-    by it: a pullback's cofactor and residual are its grevlex quotient and
-    remainder, and a round trip is ``round_trip_residual``, so a generator
-    monic in no variable raises ``ValueError``.  The composition checks
-    require, for each source variable w, that substituting the forward
-    images into backward.images[w] differs from w by a member of the source
-    ideal (and symmetrically for the target).
+    The maps must pair up: ``backward`` goes from the target of ``forward``
+    to its source.  Both presentations must have one generator, and every
+    claim divides by it: a pullback's cofactor and residual are its grevlex
+    quotient and remainder, and a round trip is ``round_trip_residual``, so
+    a generator monic in no variable raises ``ValueError``.  The composition
+    checks require, for each source variable w, that substituting the
+    forward images into backward.images[w] differs from w by a member of the
+    source ideal (and symmetrically for the target).
     """
-    forward, backward = cert.forward, cert.backward
     if forward.source != backward.target or forward.target != backward.source:
         raise ValueError("forward and backward maps do not pair up structurally")
     if len(forward.source.generators) != 1 or len(forward.target.generators) != 1:
@@ -841,16 +841,4 @@ def verify_iso_certificate(cert: IsoCertificate) -> IsoCertificate:
                                            pmap.source.generators[0])
             claims.append(Claim(f"round_trip_{side}[{var}]", side, "round_trip", var, None,
                                 residual, None, residual.is_zero()))
-
-    def holds(kind: str, side: str) -> bool:
-        return all(c.ok for c in claims if c.kind == kind and c.ideal == side)
-
-    return IsoCertificate(
-        forward=forward,
-        backward=backward,
-        forward_well_defined=holds("generator_pullback", "source"),
-        backward_well_defined=holds("generator_pullback", "target"),
-        backward_forward_identity=holds("round_trip", "source"),
-        forward_backward_identity=holds("round_trip", "target"),
-        evidence=tuple(claims),
-    )
+    return IsoCertificate(forward=forward, backward=backward, evidence=tuple(claims))

@@ -15,15 +15,13 @@ import operator
 import zlib
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 from .cech import CechClass, equivariant_class, orbit_equivalent, pic_group, pole_profile
 from .cech import surface_class
 from .cylinder import (
-    CYLINDER_RING,
-    CounterexamplePair,
-    CylinderConstruction,
-    InvariantReport,
-    Splitting,
+    CYLINDER_RING, CounterexamplePair, CylinderConstruction, FiberCoordinate, GluedModel,
+    InvariantReport, Splitting, auxiliary_class, verify_splitting,
 )
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
@@ -40,7 +38,8 @@ from .fibration import (
 from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, leading_term
 from .ideals import round_trip_residual
 from .ratpoly import (
-    LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed, substitute,
+    MAX_DIGITS, LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed,
+    substitute,
 )
 from .surfexpr import parse_surface
 
@@ -48,6 +47,9 @@ REPORT_SCHEMA = "danielewski.report/1"
 PROOF_SCHEMA = "danielewski.proof/1"
 COCYCLE_SCHEMA = "danielewski.cocycle/1"
 PROOF_KINDS = ("cylinder_iso", "counterexample")
+# the flags of ``ideals.IsoCertificate``, as a proof records them
+CERTIFICATE_FLAGS = ("forward_well_defined", "backward_well_defined",
+                     "backward_forward_identity", "forward_backward_identity")
 # The largest exponent ``verify`` reads in a proof polynomial.  Evaluating or
 # expanding y^e costs work that grows with e, and certified maps stay far
 # below this (S0/S4 images reach degree 25).
@@ -56,6 +58,19 @@ MAX_PROOF_EXPONENT = 2048
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ProofFormatError(f"a JSON integer has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def read_json(path: str):
+    """The JSON document in a file, a proof or a class.  An integer of more
+    than ``MAX_DIGITS`` digits raises ``ProofFormatError`` on every Python
+    version (3.11 and later would raise ``ValueError``, 3.10 would read it)."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
 
 
 # -- primitive encoders -------------------------------------------------
@@ -164,12 +179,7 @@ def certificate_to_json(cert: IsoCertificate) -> dict:
         "target": presentation_to_json(cert.forward.target),
         "forward": map_to_json(cert.forward),
         "backward": map_to_json(cert.backward),
-        "flags": {
-            "forward_well_defined": cert.forward_well_defined,
-            "backward_well_defined": cert.backward_well_defined,
-            "backward_forward_identity": cert.backward_forward_identity,
-            "forward_backward_identity": cert.forward_backward_identity,
-        },
+        "flags": {name: getattr(cert, name) for name in CERTIFICATE_FLAGS},
         "claims": [claim_to_json(c) for c in cert.evidence],
     }
 
@@ -280,7 +290,7 @@ def construction_to_json(con: CylinderConstruction) -> dict:
         "source_class": class_to_json(con.source_class),
         "target_class": class_to_json(con.target_class),
         "aux_class": class_to_json(con.aux_class),
-        "aux_power": con.aux_power,
+        "aux_power": 1,  # ``cylinder.auxiliary_class`` deepens by 1
         "splittings": {
             "aux_over_source": splitting_to_json(con.split_aux_over_source),
             "source_over_aux": splitting_to_json(con.split_source_over_aux),
@@ -528,11 +538,7 @@ def verify_proof(doc: dict) -> tuple[bool, list[str]]:
     failures.extend(f"missing {kind} claim on the {side} side for {subject}"
                     for kind, side, subject in sorted(required - seen))
 
-    flags = cert["flags"]
-    if not all(flags.get(key) is True for key in (
-        "forward_well_defined", "backward_well_defined",
-        "backward_forward_identity", "forward_backward_identity",
-    )):
+    if not all(cert["flags"].get(name) is True for name in CERTIFICATE_FLAGS):
         failures.append("certificate flags are not all true")
 
     # building a surface computes no basis; a singular one has no class
@@ -611,13 +617,11 @@ def _verify_invariants(recorded: dict, source: CechClass, target: CechClass) -> 
 def _verify_construction(construction: dict, classes: dict) -> list[str]:
     """Re-check the construction stored with the proof: ``source_class`` and
     ``target_class`` are the ``classes`` of the two equations (by side, for
-    the sides computed), ``aux_power`` is one the construction tries,
-    ``aux_class`` is ``cylinder.auxiliary_class`` of the recorded classes,
+    the sides computed), ``aux_power`` is 1, ``aux_class`` is
+    ``cylinder.auxiliary_class`` of the recorded classes,
     ``fiber_product`` glues v by ``source_class`` and w by ``aux_class``, and
     each splitting identity holds, with one polynomial per chart of its
     class's curve, none above its degree bound."""
-    from .cylinder import AUX_POWERS, GluedModel, FiberCoordinate, auxiliary_class, verify_splitting
-
     try:
         c_src = class_from_json(construction["source_class"])
         c_tgt = class_from_json(construction["target_class"])
@@ -628,16 +632,14 @@ def _verify_construction(construction: dict, classes: dict) -> list[str]:
                 for side, c in classes.items()
                 if json.dumps(class_to_json(c), sort_keys=True)
                 != json.dumps(construction[f"{side}_class"], sort_keys=True)]
-    power = construction["aux_power"]
-    if power not in AUX_POWERS:
-        failures.append(f"construction: aux_power {power} is not one of {AUX_POWERS}")
-    else:
-        try:
-            deepened = auxiliary_class(c_src, c_tgt, power) == c_aux
-        except ValueError:  # the recorded classes lie on different curves
-            deepened = False
-        if not deepened:
-            failures.append("construction: aux_class is not the shallower class deepened by aux_power")
+    if construction["aux_power"] != 1:
+        failures.append(f"construction: aux_power {construction['aux_power']} is not 1")
+    try:
+        deepened = auxiliary_class(c_src, c_tgt) == c_aux
+    except ValueError:  # the recorded classes lie on different curves
+        deepened = False
+    if not deepened:
+        failures.append("construction: aux_class is not the shallower class deepened by 1")
     glued = {"chart_ring": ["x", "v", "w"], "coordinates": [
         {"name": "v", "class": construction["source_class"]},
         {"name": "w", "class": construction["aux_class"]}]}

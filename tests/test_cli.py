@@ -13,6 +13,7 @@ import pytest
 
 import danielewski
 from danielewski.cli import _schedule, build_parser, main
+from danielewski.ratpoly import MAX_DIGITS
 
 
 def run(capsys, *argv):
@@ -206,16 +207,19 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(aux_over_source(lambda s: s.update(degree_bound=-5)), on_certificate=False)
     assert failures == ["splitting aux_over_source: a per_chart polynomial exceeds the degree_bound"]
 
-    # The auxiliary class is the shallower class deepened by a power the
-    # construction tries, and the fiber product glues v by the source class
-    # and w by the auxiliary class.
+    # The auxiliary class is the shallower class deepened by 1, the only
+    # aux_power, and the fiber product glues v by the source class and w by
+    # the auxiliary class.
     def construction(edit):
         return lambda doc: edit(doc["construction"])
 
     failures = refused(construction(lambda c: c.update(aux_power=99)), on_certificate=False)
-    assert failures == ["construction: aux_power 99 is not one of (1, 2, 3)"]
+    assert failures == ["construction: aux_power 99 is not 1"]
     failures = refused(construction(lambda c: c.update(aux_power=2)), on_certificate=False)
-    assert failures == ["construction: aux_class is not the shallower class deepened by aux_power"]
+    assert failures == ["construction: aux_power 2 is not 1"]
+    failures = refused(construction(lambda c: c.update(aux_class=c["source_class"])),
+                       on_certificate=False)
+    assert failures[0] == "construction: aux_class is not the shallower class deepened by 1"
     failures = refused(construction(lambda c: c["fiber_product"].update(chart_ring=["a", "b"])),
                        on_certificate=False)
     assert failures == ["construction: fiber_product is not v over source_class and w over aux_class"]
@@ -239,7 +243,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(construction(target_on_three_branches), on_certificate=False)
     assert failures == [
         "construction: target_class is not the class of the target equation",
-        "construction: aux_class is not the shallower class deepened by aux_power",
+        "construction: aux_class is not the shallower class deepened by 1",
         "splitting aux_over_target: per_chart has 2 entries for 3 charts",
         "splitting target_over_aux: identity fails on re-expansion",
     ]
@@ -432,6 +436,33 @@ def test_verify_malformed_proof_is_usage_error(tmp_path, capsys):
     assert code == 2 and err.startswith("input error:")
 
 
+def test_a_json_integer_of_too_many_digits_is_an_input_error(tmp_path, capsys):
+    """Python 3.11 and later convert no int of more than 4,300 digits, 3.10
+    converts any; ``verify`` and a class given as @FILE refuse one on both."""
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "counterexample", "x z = (y - 1) (y + 1)", "--out", str(proof_path))
+    text = proof_path.read_text()
+    assert text.count('"aux_power": 1,') == 1
+    for digits, expected in ((MAX_DIGITS, 1), (MAX_DIGITS + 1, 2), (5001, 2)):
+        proof_path.write_text(text.replace('"aux_power": 1,',
+                                           '"aux_power": 1' + "0" * (digits - 1) + ","))
+        code, out, err = run(capsys, "verify", str(proof_path))
+        assert code == expected, digits
+        if expected == 1:
+            failure = f"construction: aux_power {10**(digits - 1)} is not 1"
+            assert json.loads(out)["failures"] == [failure]
+        else:
+            assert out == "" and f"more than {MAX_DIGITS} digits" in err
+
+    code, out, _ = run(capsys, "cocycle", "profile", "2*x^-1")
+    class_text = json.dumps(json.loads(out)["input"])
+    assert class_text.count('"multiplicity": 1') == 2
+    class_path = tmp_path / "class.json"
+    class_path.write_text(class_text.replace('"multiplicity": 1', '"multiplicity": 1' + "0" * 5000))
+    code, out, err = run(capsys, "cocycle", "profile", f"@{class_path}")
+    assert (code, out) == (2, "") and f"more than {MAX_DIGITS} digits" in err
+
+
 def test_verify_large_exponent_is_a_failure_not_a_traceback(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
     run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
@@ -542,6 +573,35 @@ def test_cocycle_orbit_exit_codes(capsys):
     assert code == 0 and doc["equivalent"] is True
     code, doc, _ = run_json(capsys, "cocycle", "orbit", "2*x^-1", "2*x^-2")
     assert code == 1 and doc["equivalent"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "2*x^-1", "--branches", "0"],
+    ["push", "0", "x", "--branches", "-1"],
+    ["profile", "2*x^-1", "--branches", "1"],
+    ["orbit", "2*x^-1", "3*x^-1", "--branches", "3"],
+])
+def test_inline_class_off_two_branches_is_a_usage_error(capsys, argv):
+    """An inline class lives on the pair (0, 1) of two branches; any other
+    class is given as @FILE, and --branches below 1 makes no curve."""
+    code, out, err = run(capsys, "cocycle", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "@FILE" in err
+
+
+def test_inline_zero_class_takes_any_branch_count(capsys):
+    code, doc, _ = run_json(capsys, "cocycle", "profile", "0", "--branches", "3")
+    assert code == 0 and doc["profile"] == []
+    assert len(doc["input"]["curve"]["marked_points"][0]["branches"]) == 3
+
+
+def test_cocycle_orbit_of_classes_on_different_curves_is_a_usage_error(tmp_path, capsys):
+    code, out, _ = run(capsys, "cocycle", "profile", "0", "--branches", "3")
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(json.loads(out)["input"]))
+    code, out, err = run(capsys, "cocycle", "orbit", f"@{path}", "3*x^-1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: the two classes live on different curves; give both on one curve\n"
 
 
 def test_cocycle_class_from_json_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Glued models, the splitting solver, and certified cylinder isomorphisms."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import prod
 
@@ -15,7 +16,6 @@ from danielewski.cylinder import (
     CylinderConstruction,
     GluedModel,
     Splitting,
-    attach_surface_functions,
     counterexample_pair,
     cylinder_construction,
     cylinder_iso,
@@ -23,7 +23,6 @@ from danielewski.cylinder import (
     reexpress_on_cylinder,
     splitting_solve,
     torsor_to_glued,
-    verify_global_functions,
     verify_splitting,
     with_coordinate,
 )
@@ -82,32 +81,50 @@ def test_torsor_to_glued_triple_origin():
     assert model.transition_shifts(0, 2) == [{-2: Fraction(-3)}]
 
 
-def test_attach_surface_functions_s0():
+def chart_functions(s):
+    """The torsor model of ``s`` and each chart's x, y and z (``_chart_embedding``)."""
+    model = torsor_to_glued(surface_class(s))
+    return model, [cylinder._chart_embedding(s, i, model.chart_ring)
+                   for i in range(model.n_charts)]
+
+
+def agree_across_transitions(model, charts):
+    """Every chart-j polynomial, written on chart i by ``_across``, is the chart-i one."""
+    for i, j in model.branch_pairs():
+        clear, on_i = cylinder._across(model, charts[j], i, j)
+        if on_i != cylinder._pad_x(charts[i], (), clear):
+            return False
+    return True
+
+
+def assert_global_functions_of(s, model, charts):
+    """The equation vanishes on every chart, and x, y, z glue across the transitions."""
+    for embedding in charts:
+        assert substitute(s.defining_polynomial, embedding).is_zero()
+    for name in ("x", "y", "z"):
+        assert agree_across_transitions(model, [e[name] for e in charts])
+
+
+def test_chart_embedding_s0():
     s = s_family(0)
-    model = attach_surface_functions(torsor_to_glued(surface_class(s)), s)
-    funcs = dict(model.global_functions)
+    model, charts = chart_functions(s)
     ring = model.chart_ring
-    assert funcs["y"][0] == poly_from_str("x*v + 1", ring)
-    assert funcs["y"][1] == poly_from_str("x*v - 1", ring)
-    assert funcs["z"][0] == poly_from_str("x*v^2 + 2*v", ring)
-    assert funcs["z"][1] == poly_from_str("x*v^2 - 2*v", ring)
-    assert verify_global_functions(model)
+    assert charts[0]["y"] == poly_from_str("x*v + 1", ring)
+    assert charts[1]["y"] == poly_from_str("x*v - 1", ring)
+    assert charts[0]["z"] == poly_from_str("x*v^2 + 2*v", ring)
+    assert charts[1]["z"] == poly_from_str("x*v^2 - 2*v", ring)
+    assert_global_functions_of(s, model, charts)
 
 
-def test_attach_surface_functions_s1():
+def test_chart_embedding_s1():
     s = s_family(1)
-    model = attach_surface_functions(torsor_to_glued(surface_class(s)), s)
-    funcs = dict(model.global_functions)
+    model, charts = chart_functions(s)
     ring = model.chart_ring
-    assert funcs["y"][0] == poly_from_str("x^2*v + 1", ring)
-    assert funcs["z"][0] == poly_from_str("x^2*v^2 + 2*v", ring)
-
-
-def test_attach_rejects_mismatched_model():
-    s0, s1 = s_family(0), s_family(1)
-    model = torsor_to_glued(surface_class(s0))
-    with pytest.raises(ValueError):
-        attach_surface_functions(model, s1)
+    assert charts[0]["y"] == poly_from_str("x^2*v + 1", ring)
+    assert charts[1]["y"] == poly_from_str("x^2*v - 1", ring)
+    assert charts[0]["z"] == poly_from_str("x^2*v^2 + 2*v", ring)
+    assert charts[1]["z"] == poly_from_str("x^2*v^2 - 2*v", ring)
+    assert_global_functions_of(s, model, charts)
 
 
 def test_fiber_product_transitions_consistent():
@@ -182,14 +199,11 @@ def test_verify_splitting_rejects_one_changed_coefficient(model, pullback):
         assert not verify_splitting(model, pullback, tampered(splitting, chart))
 
 
-def test_verify_global_functions_rejects_a_mismatched_chart_function():
-    s = s_family(0)
-    model = attach_surface_functions(torsor_to_glued(surface_class(s)), s)
-    (name, charts), *rest = model.global_functions
-    for changed in (charts[0] + 1, MultiPoly.var(model.chart_ring, "x") * charts[1]):
-        bad = GluedModel(model.curve, model.coordinates,
-                         ((name, (charts[0], changed)), *rest))
-        assert not verify_global_functions(bad)
+def test_a_changed_chart_function_disagrees_across_transitions():
+    model, charts = chart_functions(s_family(0))
+    x = [e["x"] for e in charts]
+    for changed in (x[0] + 1, MultiPoly.var(model.chart_ring, "x") * x[1]):
+        assert not agree_across_transitions(model, [x[0], changed])
 
 
 part_terms = st.dictionaries(st.integers(-3, -1),
@@ -457,7 +471,6 @@ def test_cylinder_iso_rejects_equivariant_track():
 def test_construction_record_contents():
     con = cylinder_construction(s_family(0), s_family(1))
     assert isinstance(con, CylinderConstruction)
-    assert con.aux_power == 1
     assert con.source_class.part(0, 0, 1) == lp("2*x^-1")
     assert con.target_class.part(0, 0, 1) == lp("2*x^-2")
     assert con.aux_class.part(0, 0, 1) == lp("2*x^-2")
@@ -465,6 +478,79 @@ def test_construction_record_contents():
     # every stored splitting satisfies its identity (re-verified independently)
     model_src = torsor_to_glued(con.source_class, "v")
     assert verify_splitting(model_src, con.aux_class, con.split_aux_over_source)
+
+
+def splits_with_aux(c_src, c_tgt, power):
+    """Whether the four splittings of the construction exist when the
+    auxiliary class deepens the shallower class by ``power``."""
+    c_aux = divide_by_power(cylinder.auxiliary_class(c_src, c_tgt), power - 1)
+    model_aux = torsor_to_glued(c_aux, "w")
+    try:
+        splitting_solve(torsor_to_glued(c_src, "v"), c_aux)
+        splitting_solve(model_aux, c_src)
+        splitting_solve(torsor_to_glued(c_tgt, "u"), cylinder._transport(c_aux, c_tgt.curve))
+        splitting_solve(model_aux, cylinder._transport(c_tgt, c_src.curve))
+    except NoSplittingFound:
+        return False
+    return True
+
+
+TRAFFIC_ROOTS = [(1, -1), (Fraction(1, 2), Fraction(-3, 2)), (0, 1, 2),
+                 (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))]
+TRAFFIC_PAIRS = [((n1, roots), (n2, roots)) for roots in TRAFFIC_ROOTS
+                 for n1, n2 in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3))] + [
+    ((1, (0, 1)), (2, (1, -1))), ((2, (1, -1)), (1, (Fraction(1, 2), Fraction(-3, 2)))),
+    ((1, (0, 1, 2)), (2, (0, 1, 3))), ((1, (0, 1, 3)), (1, (0, 1, 2))),
+]
+
+
+def test_a_deeper_auxiliary_class_splits_no_pair_that_depth_one_misses():
+    """On 2- and 3-root pairs, integer and half-integer roots, the same or
+    different roots and n from 1 to 3, deepening by 2 or 3 never splits a
+    pair that deepening by 1, the construction's only auxiliary class,
+    misses.  It does on the two-root depths of ``DEEPER_ONLY``."""
+    start = time.perf_counter()
+    split_by_one = []
+    for sides in TRAFFIC_PAIRS:
+        c_src, c_tgt = (surface_class(build_surface(n, [(r, 1) for r in roots], Variant.PLAIN))
+                        for n, roots in sides)
+        by_one = splits_with_aux(c_src, c_tgt, 1)
+        split_by_one.append(by_one)
+        if not by_one:
+            assert not splits_with_aux(c_src, c_tgt, 2), sides
+            assert not splits_with_aux(c_src, c_tgt, 3), sides
+    assert any(split_by_one) and not all(split_by_one)
+    assert time.perf_counter() - start < 2
+
+
+# Two-root depth pairs (n_source, n_target) on which the degree schedule
+# splits the auxiliary class deepened by ``power`` but not by 1, whatever
+# the roots.  The construction refuses them; closed-form splittings
+# (ROADMAP item 1) would split them at depth 1.
+DEEPER_ONLY = [((1, 5), 2), ((5, 3), 2), ((3, 6), 3), ((4, 4), 3)]
+
+
+@pytest.mark.parametrize("depths, power", DEEPER_ONLY)
+def test_pairs_only_a_deeper_auxiliary_class_splits_are_refused(depths, power):
+    pair = [build_surface(n, [(1, 1), (-1, 1)], Variant.PLAIN) for n in depths]
+    c_src, c_tgt = (surface_class(s) for s in pair)
+    assert not splits_with_aux(c_src, c_tgt, 1)
+    assert splits_with_aux(c_src, c_tgt, power)
+    with pytest.raises(NoSplittingFound):
+        cylinder_construction(*pair)
+
+
+def test_a_construction_computes_each_class_once(monkeypatch):
+    computed = []
+
+    def counted(surface):
+        computed.append(surface)
+        return surface_class(surface)
+
+    monkeypatch.setattr(cylinder, "surface_class", counted)
+    source, target = s_family(0), s_family(1)
+    cylinder_construction(source, target)
+    assert computed == [source, target]
 
 
 def test_rational_roots_pair():

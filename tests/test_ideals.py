@@ -9,6 +9,7 @@ from conftest import monic_remainder, naive_division, substitute_oracle
 from danielewski.errors import RingMismatchError
 from danielewski.ideals import (
     IdealPresentation,
+    IsoCertificate,
     PolyMap,
     groebner_basis,
     ideal_member,
@@ -17,7 +18,6 @@ from danielewski.ideals import (
     jacobian_smooth,
     normal_form,
     reduce_full,
-    unchecked_certificate,
     verify_iso_certificate,
     verify_morphism,
 )
@@ -267,7 +267,7 @@ def test_inclusion_of_coordinates_is_not_a_morphism():
 
 def test_identity_certificate():
     i = ideal("x*z - y^2 + 1")
-    cert = verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
+    cert = verify_iso_certificate(identity_map(i), identity_map(i))
     assert cert.is_valid()
     assert cert.flags == (True, True, True, True)
 
@@ -276,23 +276,40 @@ def test_swap_certificate_on_symmetric_surface():
     i = ideal("x*z - y^2 + 1")
     swap = {"x": p("z"), "y": p("y"), "z": p("x")}
     fwd = PolyMap(i, i, swap)
-    cert = verify_iso_certificate(unchecked_certificate(fwd, fwd))
+    cert = verify_iso_certificate(fwd, fwd)
     assert cert.is_valid()
 
 
 def test_non_inverse_pair_flagged():
     i = ideal("x*z - y^2 + 1")
     fwd = PolyMap(i, i, {"x": p("z"), "y": p("y"), "z": p("x")})
-    cert = verify_iso_certificate(unchecked_certificate(fwd, identity_map(i)))
+    cert = verify_iso_certificate(fwd, identity_map(i))
     assert cert.forward_well_defined and cert.backward_well_defined
     assert not cert.backward_forward_identity
     assert not cert.is_valid()
 
 
+def test_certificate_refuses_maps_that_do_not_pair_up():
+    i, j = ideal("x*z - y^2 + 1"), ideal("x^2*z - y^2 + 1")
+    with pytest.raises(ValueError, match="do not pair up"):
+        verify_iso_certificate(PolyMap(i, j, {v: p(v) for v in XYZ}), identity_map(i))
+
+
+def test_flags_are_read_off_the_claims():
+    """A certificate holds a flag only where it has claims and all of them hold."""
+    i = ideal("x*z - y^2 + 1")
+    checked = verify_iso_certificate(identity_map(i), identity_map(i))
+    assert not IsoCertificate(checked.forward, checked.backward, ()).is_valid()
+    assert IsoCertificate(checked.forward, checked.backward, ()).flags == (False,) * 4
+    pullbacks = tuple(c for c in checked.evidence if c.kind == "generator_pullback")
+    assert IsoCertificate(checked.forward, checked.backward, pullbacks).flags == (
+        True, True, False, False)
+
+
 def test_certificate_witnesses_replay():
     i = ideal("x*z - y^2 + 1")
     swap = PolyMap(i, i, {"x": p("z"), "y": p("y"), "z": p("x")})
-    cert = verify_iso_certificate(unchecked_certificate(swap, swap))
+    cert = verify_iso_certificate(swap, swap)
     assert cert.evidence
     for claim in cert.evidence:
         assert claim.ok and claim.residual.is_zero()
@@ -306,13 +323,13 @@ def test_certificate_witnesses_replay():
 def test_certificate_refuses_a_two_generator_presentation():
     i = ideal("x*z - y^2 + 1", "x")
     with pytest.raises(ValueError, match="single-generator"):
-        verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
+        verify_iso_certificate(identity_map(i), identity_map(i))
 
 
 def test_certificate_refuses_a_generator_monic_in_no_variable():
     i = ideal("x^5*y^5*z^5 + x*y")
     with pytest.raises(ValueError, match="monic in no variable"):
-        verify_iso_certificate(unchecked_certificate(identity_map(i), identity_map(i)))
+        verify_iso_certificate(identity_map(i), identity_map(i))
 
 
 def test_pullback_cofactor_is_the_quotient_by_the_generator():
@@ -321,7 +338,7 @@ def test_pullback_cofactor_is_the_quotient_by_the_generator():
     source, target = ideal("2*x^2*z - 2*y^2 + 2"), ideal("x*z - y^2 + 1")
     forward = PolyMap(source, target, {"x": p("x"), "y": p("y"), "z": p("x*z")})
     backward = PolyMap(target, source, {v: p(v) for v in XYZ})
-    cert = verify_iso_certificate(unchecked_certificate(forward, backward))
+    cert = verify_iso_certificate(forward, backward)
     claim = cert.evidence[0]
     assert claim.name == "forward_well_defined[0]" and claim.ok
     assert claim.cofactors == (p("1/2"),)
