@@ -65,12 +65,13 @@ def _schedule(degree_bound: int | None):
 def _parse_class(text: str, branches: int):
     """A cocycle argument: inline Laurent text (two-branch pair (0,1) at 0)
     or @FILE pointing at class JSON.  Inline text other than 0 needs
-    ``branches`` 2; a class on other branches is given as @FILE."""
+    ``branches`` 2; a class on other branches is given as @FILE, for which
+    ``branches`` is not read."""
+    if text.startswith("@"):
+        return jsonio.class_from_json(jsonio.read_json(text[1:]))
     if branches < 1:
         raise UsageError(f"--branches must be at least 1, not {branches}; give other "
                          "classes as @FILE")
-    if text.startswith("@"):
-        return jsonio.class_from_json(jsonio.read_json(text[1:]))
     curve = MultifoldCurve(
         "x", (MarkedPoint(0, tuple((f"b{i}", 1) for i in range(branches))),)
     )

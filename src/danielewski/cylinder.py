@@ -47,6 +47,9 @@ from .linsolve import solve_linear
 from .ratpoly import Exponent, MultiPoly, grevlex_key, ring_embed, substitute
 
 DEFAULT_SCHEDULE = (2, 4, 6, 8)
+# the powers by which the auxiliary class deepens the shallower class, in the
+# order the construction tries them
+AUX_POWERS = (1, 2, 3)
 CYLINDER_RING = ("x", "y", "z", "w")
 
 
@@ -359,6 +362,7 @@ class CylinderConstruction:
     source_class: CechClass
     target_class: CechClass
     aux_class: CechClass
+    aux_power: int
     split_aux_over_source: Splitting
     split_source_over_aux: Splitting
     split_aux_over_target: Splitting
@@ -381,20 +385,19 @@ def _transport(c: CechClass, curve: MultifoldCurve) -> CechClass:
     return CechClass(curve, dict(c.parts))
 
 
-def auxiliary_class(c_src: CechClass, c_tgt: CechClass) -> CechClass:
+def auxiliary_class(c_src: CechClass, c_tgt: CechClass, power: int) -> CechClass:
     """The auxiliary torsor's class: the shallower class (pole order n for
-    x^n z = P(y); the source's on a tie), on the source curve, deepened by 1.
-    Its pole then sits between the two class poles (or just above both),
-    which keeps all four splittings inside the degree schedule in either
-    direction of most pairs.  Any nonzero-part class works for the trick
-    since its total space is affine, but the schedule bounds the splittings:
-    for two roots, the depths (1, 5), (1, 6), (3, 5), (3, 6) and (4, 4), in
-    either order, split only with a class deepened by 2 or 3, and the
-    construction refuses them.
+    x^n z = P(y); the source's on a tie), on the source curve, deepened by
+    ``power``.  Its pole then sits between the two class poles (or just above
+    both), which keeps all four splittings inside the degree schedule in
+    either direction of the pair.  Any nonzero-part class works for the trick
+    since its total space is affine.  Power 1 splits most pairs; for two
+    roots, the depths (1, 5), (1, 6), (3, 5), (3, 6) and (4, 4), in either
+    order, split only at power 2 or 3 within the default schedule.
     """
     depth = [max((g.pole_order() for g in c.parts.values()), default=0) for c in (c_src, c_tgt)]
     shallow = c_src if depth[0] <= depth[1] else _transport(c_tgt, c_src.curve)
-    return divide_by_power(shallow, 1)
+    return divide_by_power(shallow, power)
 
 
 def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitting]):
@@ -462,8 +465,9 @@ def cylinder_construction(
 
     The classes are those of ``surface_class``, whose curves are the
     quotient curves; they must have the same marked points and branch data.
-    The four splittings run against ``auxiliary_class``; a splitting that
-    is not found raises ``NoSplittingFound``.
+    The four splittings run against ``auxiliary_class`` at each power of
+    ``AUX_POWERS`` in turn, until all four are found; if none splits, the
+    last power's ``NoSplittingFound`` is raised.
     """
     try:
         c_src, c_tgt = surface_class(source), surface_class(target)
@@ -476,12 +480,18 @@ def cylinder_construction(
         raise NotComparable("quotient curves have different branch data")
     model_src = torsor_to_glued(c_src, "v")
     model_tgt = torsor_to_glued(c_tgt, "u")
-    c_aux = auxiliary_class(c_src, c_tgt)
-    model_aux = torsor_to_glued(c_aux, "w")
-    split_p = splitting_solve(model_src, c_aux, schedule)
-    split_q = splitting_solve(model_aux, c_src, schedule)
-    split_p2 = splitting_solve(model_tgt, _transport(c_aux, c_tgt.curve), schedule)
-    split_q2 = splitting_solve(model_aux, _transport(c_tgt, c_src.curve), schedule)
+    for aux_power in AUX_POWERS:
+        c_aux = auxiliary_class(c_src, c_tgt, aux_power)
+        model_aux = torsor_to_glued(c_aux, "w")
+        try:
+            split_p = splitting_solve(model_src, c_aux, schedule)
+            split_q = splitting_solve(model_aux, c_src, schedule)
+            split_p2 = splitting_solve(model_tgt, _transport(c_aux, c_tgt.curve), schedule)
+            split_q2 = splitting_solve(model_aux, _transport(c_tgt, c_src.curve), schedule)
+            break
+        except NoSplittingFound:
+            if aux_power == AUX_POWERS[-1]:
+                raise
     forward_images = _embedded_images((split_p, split_q, split_p2, split_q2), source, target)
     backward_images = _embedded_images((split_p2, split_q2, split_p, split_q), target, source)
 
@@ -500,6 +510,7 @@ def cylinder_construction(
         source_class=c_src,
         target_class=c_tgt,
         aux_class=c_aux,
+        aux_power=aux_power,
         split_aux_over_source=split_p,
         split_source_over_aux=split_q,
         split_aux_over_target=split_p2,

@@ -20,8 +20,8 @@ from pathlib import Path
 from .cech import CechClass, equivariant_class, orbit_equivalent, pic_group, pole_profile
 from .cech import surface_class
 from .cylinder import (
-    CYLINDER_RING, CounterexamplePair, CylinderConstruction, FiberCoordinate, GluedModel,
-    InvariantReport, Splitting, auxiliary_class, verify_splitting,
+    AUX_POWERS, CYLINDER_RING, CounterexamplePair, CylinderConstruction, FiberCoordinate,
+    GluedModel, InvariantReport, Splitting, auxiliary_class, verify_splitting,
 )
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
@@ -290,7 +290,7 @@ def construction_to_json(con: CylinderConstruction) -> dict:
         "source_class": class_to_json(con.source_class),
         "target_class": class_to_json(con.target_class),
         "aux_class": class_to_json(con.aux_class),
-        "aux_power": 1,  # ``cylinder.auxiliary_class`` deepens by 1
+        "aux_power": con.aux_power,
         "splittings": {
             "aux_over_source": splitting_to_json(con.split_aux_over_source),
             "source_over_aux": splitting_to_json(con.split_source_over_aux),
@@ -617,8 +617,8 @@ def _verify_invariants(recorded: dict, source: CechClass, target: CechClass) -> 
 def _verify_construction(construction: dict, classes: dict) -> list[str]:
     """Re-check the construction stored with the proof: ``source_class`` and
     ``target_class`` are the ``classes`` of the two equations (by side, for
-    the sides computed), ``aux_power`` is 1, ``aux_class`` is
-    ``cylinder.auxiliary_class`` of the recorded classes,
+    the sides computed), ``aux_power`` is one the construction tries,
+    ``aux_class`` is ``cylinder.auxiliary_class`` of the recorded classes,
     ``fiber_product`` glues v by ``source_class`` and w by ``aux_class``, and
     each splitting identity holds, with one polynomial per chart of its
     class's curve, none above its degree bound."""
@@ -632,14 +632,16 @@ def _verify_construction(construction: dict, classes: dict) -> list[str]:
                 for side, c in classes.items()
                 if json.dumps(class_to_json(c), sort_keys=True)
                 != json.dumps(construction[f"{side}_class"], sort_keys=True)]
-    if construction["aux_power"] != 1:
-        failures.append(f"construction: aux_power {construction['aux_power']} is not 1")
-    try:
-        deepened = auxiliary_class(c_src, c_tgt) == c_aux
-    except ValueError:  # the recorded classes lie on different curves
-        deepened = False
-    if not deepened:
-        failures.append("construction: aux_class is not the shallower class deepened by 1")
+    power = construction["aux_power"]
+    if power not in AUX_POWERS:
+        failures.append(f"construction: aux_power {power} is not one of {AUX_POWERS}")
+    else:
+        try:
+            deepened = auxiliary_class(c_src, c_tgt, power) == c_aux
+        except ValueError:  # the recorded classes lie on different curves
+            deepened = False
+        if not deepened:
+            failures.append("construction: aux_class is not the shallower class deepened by aux_power")
     glued = {"chart_ring": ["x", "v", "w"], "coordinates": [
         {"name": "v", "class": construction["source_class"]},
         {"name": "w", "class": construction["aux_class"]}]}

@@ -207,19 +207,16 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(aux_over_source(lambda s: s.update(degree_bound=-5)), on_certificate=False)
     assert failures == ["splitting aux_over_source: a per_chart polynomial exceeds the degree_bound"]
 
-    # The auxiliary class is the shallower class deepened by 1, the only
-    # aux_power, and the fiber product glues v by the source class and w by
-    # the auxiliary class.
+    # The auxiliary class is the shallower class deepened by a power the
+    # construction tries, and the fiber product glues v by the source class
+    # and w by the auxiliary class.
     def construction(edit):
         return lambda doc: edit(doc["construction"])
 
     failures = refused(construction(lambda c: c.update(aux_power=99)), on_certificate=False)
-    assert failures == ["construction: aux_power 99 is not 1"]
+    assert failures == ["construction: aux_power 99 is not one of (1, 2, 3)"]
     failures = refused(construction(lambda c: c.update(aux_power=2)), on_certificate=False)
-    assert failures == ["construction: aux_power 2 is not 1"]
-    failures = refused(construction(lambda c: c.update(aux_class=c["source_class"])),
-                       on_certificate=False)
-    assert failures[0] == "construction: aux_class is not the shallower class deepened by 1"
+    assert failures == ["construction: aux_class is not the shallower class deepened by aux_power"]
     failures = refused(construction(lambda c: c["fiber_product"].update(chart_ring=["a", "b"])),
                        on_certificate=False)
     assert failures == ["construction: fiber_product is not v over source_class and w over aux_class"]
@@ -243,7 +240,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     failures = refused(construction(target_on_three_branches), on_certificate=False)
     assert failures == [
         "construction: target_class is not the class of the target equation",
-        "construction: aux_class is not the shallower class deepened by 1",
+        "construction: aux_class is not the shallower class deepened by aux_power",
         "splitting aux_over_target: per_chart has 2 entries for 3 charts",
         "splitting target_over_aux: identity fails on re-expansion",
     ]
@@ -449,7 +446,7 @@ def test_a_json_integer_of_too_many_digits_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, "verify", str(proof_path))
         assert code == expected, digits
         if expected == 1:
-            failure = f"construction: aux_power {10**(digits - 1)} is not 1"
+            failure = f"construction: aux_power {10**(digits - 1)} is not one of (1, 2, 3)"
             assert json.loads(out)["failures"] == [failure]
         else:
             assert out == "" and f"more than {MAX_DIGITS} digits" in err
@@ -619,9 +616,11 @@ def test_cocycle_class_from_json_file(tmp_path, capsys):
     c = class_normal_form(raw, curve)
     path = tmp_path / "class.json"
     path.write_text(dumps(class_to_json(c)))
-    code, doc, _ = run_json(capsys, "cocycle", "profile", f"@{path}")
-    assert code == 0
-    assert doc["profile"] == [["0", [0, 1], 1], ["0", [0, 2], 1], ["0", [1, 2], 1]]
+    # --branches is not read for a class file
+    for branches in ([], ["--branches", "0"]):
+        code, doc, _ = run_json(capsys, "cocycle", "profile", f"@{path}", *branches)
+        assert code == 0
+        assert doc["profile"] == [["0", [0, 1], 1], ["0", [0, 2], 1], ["0", [1, 2], 1]]
 
 
 def test_cylinder_not_comparable(capsys):

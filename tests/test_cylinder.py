@@ -1,7 +1,6 @@
 """Glued models, the splitting solver, and certified cylinder isomorphisms."""
 
 import itertools
-import time
 from fractions import Fraction
 from math import prod
 
@@ -474,70 +473,29 @@ def test_construction_record_contents():
     assert con.source_class.part(0, 0, 1) == lp("2*x^-1")
     assert con.target_class.part(0, 0, 1) == lp("2*x^-2")
     assert con.aux_class.part(0, 0, 1) == lp("2*x^-2")
+    assert con.aux_power == 1
     assert con.fiber_product.chart_ring == ("x", "v", "w")
     # every stored splitting satisfies its identity (re-verified independently)
     model_src = torsor_to_glued(con.source_class, "v")
     assert verify_splitting(model_src, con.aux_class, con.split_aux_over_source)
 
 
-def splits_with_aux(c_src, c_tgt, power):
-    """Whether the four splittings of the construction exist when the
-    auxiliary class deepens the shallower class by ``power``."""
-    c_aux = divide_by_power(cylinder.auxiliary_class(c_src, c_tgt), power - 1)
-    model_aux = torsor_to_glued(c_aux, "w")
-    try:
-        splitting_solve(torsor_to_glued(c_src, "v"), c_aux)
-        splitting_solve(model_aux, c_src)
-        splitting_solve(torsor_to_glued(c_tgt, "u"), cylinder._transport(c_aux, c_tgt.curve))
-        splitting_solve(model_aux, cylinder._transport(c_tgt, c_src.curve))
-    except NoSplittingFound:
-        return False
-    return True
-
-
-TRAFFIC_ROOTS = [(1, -1), (Fraction(1, 2), Fraction(-3, 2)), (0, 1, 2),
-                 (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))]
-TRAFFIC_PAIRS = [((n1, roots), (n2, roots)) for roots in TRAFFIC_ROOTS
-                 for n1, n2 in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 3))] + [
-    ((1, (0, 1)), (2, (1, -1))), ((2, (1, -1)), (1, (Fraction(1, 2), Fraction(-3, 2)))),
-    ((1, (0, 1, 2)), (2, (0, 1, 3))), ((1, (0, 1, 3)), (1, (0, 1, 2))),
-]
-
-
-def test_a_deeper_auxiliary_class_splits_no_pair_that_depth_one_misses():
-    """On 2- and 3-root pairs, integer and half-integer roots, the same or
-    different roots and n from 1 to 3, deepening by 2 or 3 never splits a
-    pair that deepening by 1, the construction's only auxiliary class,
-    misses.  It does on the two-root depths of ``DEEPER_ONLY``."""
-    start = time.perf_counter()
-    split_by_one = []
-    for sides in TRAFFIC_PAIRS:
-        c_src, c_tgt = (surface_class(build_surface(n, [(r, 1) for r in roots], Variant.PLAIN))
-                        for n, roots in sides)
-        by_one = splits_with_aux(c_src, c_tgt, 1)
-        split_by_one.append(by_one)
-        if not by_one:
-            assert not splits_with_aux(c_src, c_tgt, 2), sides
-            assert not splits_with_aux(c_src, c_tgt, 3), sides
-    assert any(split_by_one) and not all(split_by_one)
-    assert time.perf_counter() - start < 2
-
-
-# Two-root depth pairs (n_source, n_target) on which the degree schedule
-# splits the auxiliary class deepened by ``power`` but not by 1, whatever
-# the roots.  The construction refuses them; closed-form splittings
-# (ROADMAP item 1) would split them at depth 1.
+# Two-root depth pairs (n_source, n_target) that the degree schedule splits
+# only with the auxiliary class deepened by ``power`` > 1, whatever the
+# roots: the construction's retry over ``AUX_POWERS`` is the one route that
+# certifies them.
 DEEPER_ONLY = [((1, 5), 2), ((5, 3), 2), ((3, 6), 3), ((4, 4), 3)]
 
 
 @pytest.mark.parametrize("depths, power", DEEPER_ONLY)
-def test_pairs_only_a_deeper_auxiliary_class_splits_are_refused(depths, power):
+def test_pairs_only_a_deeper_auxiliary_class_splits_construct_and_verify(depths, power):
     pair = [build_surface(n, [(1, 1), (-1, 1)], Variant.PLAIN) for n in depths]
-    c_src, c_tgt = (surface_class(s) for s in pair)
-    assert not splits_with_aux(c_src, c_tgt, 1)
-    assert splits_with_aux(c_src, c_tgt, power)
-    with pytest.raises(NoSplittingFound):
-        cylinder_construction(*pair)
+    con = cylinder_construction(*pair)
+    assert con.aux_power == power
+    assert con.aux_class == cylinder.auxiliary_class(con.source_class, con.target_class, power)
+    doc = cylinder_proof(con)
+    assert doc["construction"]["aux_power"] == power
+    assert verify_proof(doc) == (True, [])
 
 
 def test_a_construction_computes_each_class_once(monkeypatch):
