@@ -6,7 +6,9 @@ by pole-clearing push maps from an auxiliary class c0 with deeper poles.  The
 fiber product of either surface with the auxiliary torsor trivializes in two
 ways (both total spaces are affine), and chaining the two trivializations on
 each side produces an explicit polynomial isomorphism between the cylinders
-over the two surfaces.  Every emitted isomorphism is returned as a checked
+over the two surfaces.  The four splittings behind them are posed by one
+table, ``SPLITTINGS``, which the construction solves and ``jsonio`` writes
+and replays.  Every emitted isomorphism is returned as a checked
 certificate: well-definedness and the two round trips are verified by exact
 division by each cylinder's one generator, with no Groebner basis, and every
 splitting is re-verified by direct expansion.
@@ -51,6 +53,16 @@ DEFAULT_SCHEDULE = (2, 4, 6, 8)
 # order the construction tries them
 AUX_POWERS = (1, 2, 3)
 CYLINDER_RING = ("x", "y", "z", "w")
+# The four splittings of the fiber-product trick, in the order the
+# construction solves them and a proof records them: the proof tag, the role
+# (source, target or aux class) of the class whose torsor carries the charts,
+# its fiber coordinate, and the role of the class split over those charts.
+SPLITTINGS = (
+    ("aux_over_source", "source", "v", "aux"),
+    ("source_over_aux", "aux", "w", "source"),
+    ("aux_over_target", "target", "u", "aux"),
+    ("target_over_aux", "aux", "w", "target"),
+)
 
 
 # -- glued models ---------------------------------------------------------
@@ -154,13 +166,6 @@ def torsor_to_glued(c: CechClass, coordinate: str = "v") -> GluedModel:
     """One chart per branch with the fiber coordinate glued by the class."""
     _require_cylinder_curve(c.curve)
     return GluedModel(c.curve, (FiberCoordinate(coordinate, c),))
-
-
-def with_coordinate(model: GluedModel, coordinate: str, c: CechClass) -> GluedModel:
-    """Adjoin a fiber coordinate; used to form fiber products chart-wise."""
-    if c.curve != model.curve:
-        raise ValueError("classes live on different curves")
-    return GluedModel(model.curve, model.coordinates + (FiberCoordinate(coordinate, c),))
 
 
 def _chart_embedding(surface: DanielewskiSurface, chart: int, ring: tuple[str, ...]) -> dict:
@@ -363,26 +368,14 @@ class CylinderConstruction:
     target_class: CechClass
     aux_class: CechClass
     aux_power: int
-    split_aux_over_source: Splitting
-    split_source_over_aux: Splitting
-    split_aux_over_target: Splitting
-    split_target_over_aux: Splitting
-    fiber_product: GluedModel
+    splittings: dict[str, Splitting]  # by the tags of ``SPLITTINGS``, in table order
     certificate: IsoCertificate
 
 
-def _shape(curve: MultifoldCurve) -> list:
-    """Location and branch count of each marked point: the curve up to branch ids."""
-    return [(point.location, len(point.branches)) for point in curve.marked_points]
-
-
 def _transport(c: CechClass, curve: MultifoldCurve) -> CechClass:
-    """Carry a class to a combinatorially equal curve (branch ids may differ)."""
-    if c.curve == curve:
-        return c
-    if _shape(c.curve) != _shape(curve):
-        raise NotComparable("cannot transport between different curve shapes")
-    return CechClass(curve, dict(c.parts))
+    """Carry a class to a combinatorially equal curve (branch ids may differ),
+    keeping its parts; ``CechClass`` refuses parts that are no class there."""
+    return c if c.curve == curve else CechClass(curve, dict(c.parts))
 
 
 def auxiliary_class(c_src: CechClass, c_tgt: CechClass, power: int) -> CechClass:
@@ -400,12 +393,13 @@ def auxiliary_class(c_src: CechClass, c_tgt: CechClass, power: int) -> CechClass
     return divide_by_power(shallow, power)
 
 
-def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitting]):
+def _chart_composites(splittings: tuple[Splitting, ...]):
     """Per-chart data of one direction: the two coordinates of the composite map.
 
-    With p = aux split over the first surface, q = first-class split over the
-    auxiliary torsor, q2 = second-class split over the auxiliary torsor and
-    p2 = aux split over the second surface, chart i of the first cylinder,
+    With the splittings in the order of ``SPLITTINGS``, p = aux split over
+    the first surface, q = first-class split over the auxiliary torsor,
+    p2 = aux split over the second surface and q2 = second-class split over
+    the auxiliary torsor, chart i of the first cylinder,
     with ring Q[x, v, t], goes to (x, u, s) on the second, where
     w = t + p_i(x, v), u = v - q_i(x, w) + q2_i(x, w) and s = w - p2_i(x, u).
     The same recipe serves both directions: the backward map is the forward
@@ -429,7 +423,7 @@ def _chart_composites(splittings: tuple[Splitting, Splitting, Splitting, Splitti
 
 
 def _embedded_images(
-    splittings: tuple[Splitting, Splitting, Splitting, Splitting],
+    splittings: tuple[Splitting, ...],
     source: DanielewskiSurface,
     target: DanielewskiSurface,
 ) -> dict:
@@ -465,59 +459,49 @@ def cylinder_construction(
 
     The classes are those of ``surface_class``, whose curves are the
     quotient curves; they must have the same marked points and branch data.
-    The four splittings run against ``auxiliary_class`` at each power of
-    ``AUX_POWERS`` in turn, until all four are found; if none splits, the
-    last power's ``NoSplittingFound`` is raised.
+    The rows of ``SPLITTINGS`` are solved in order against
+    ``auxiliary_class`` at each power of ``AUX_POWERS`` in turn, until all
+    four are found; if none splits, the last power's ``NoSplittingFound`` is
+    raised.
     """
     try:
         c_src, c_tgt = surface_class(source), surface_class(target)
     except UnsupportedError as exc:
         raise UnsupportedError(f"cylinder construction needs torsor classes: {exc}")
-    shapes = _shape(c_src.curve), _shape(c_tgt.curve)
+    # location and branch count of each marked point: the curve up to branch ids
+    shapes = [[(p.location, len(p.branches)) for p in c.curve.marked_points]
+              for c in (c_src, c_tgt)]
     if len(shapes[0]) != len(shapes[1]):
         raise NotComparable("quotient curves have different marked points")
     if shapes[0] != shapes[1]:
         raise NotComparable("quotient curves have different branch data")
-    model_src = torsor_to_glued(c_src, "v")
-    model_tgt = torsor_to_glued(c_tgt, "u")
+    classes = {"source": c_src, "target": c_tgt}
     for aux_power in AUX_POWERS:
-        c_aux = auxiliary_class(c_src, c_tgt, aux_power)
-        model_aux = torsor_to_glued(c_aux, "w")
+        classes["aux"] = auxiliary_class(c_src, c_tgt, aux_power)
         try:
-            split_p = splitting_solve(model_src, c_aux, schedule)
-            split_q = splitting_solve(model_aux, c_src, schedule)
-            split_p2 = splitting_solve(model_tgt, _transport(c_aux, c_tgt.curve), schedule)
-            split_q2 = splitting_solve(model_aux, _transport(c_tgt, c_src.curve), schedule)
+            splittings = {}
+            for tag, charts, coordinate, split in SPLITTINGS:
+                model = torsor_to_glued(classes[charts], coordinate)
+                pullback = _transport(classes[split], model.curve)
+                splittings[tag] = splitting_solve(model, pullback, schedule)
             break
         except NoSplittingFound:
             if aux_power == AUX_POWERS[-1]:
                 raise
-    forward_images = _embedded_images((split_p, split_q, split_p2, split_q2), source, target)
-    backward_images = _embedded_images((split_p2, split_q2, split_p, split_q), target, source)
+    # the backward map swaps the surfaces, so it takes the rows as (p2, q2, p, q)
+    forward = tuple(splittings.values())
+    forward_images = _embedded_images(forward, source, target)
+    backward_images = _embedded_images(forward[2:] + forward[:2], target, source)
 
     src_pres = cylinder_presentation(source)
     tgt_pres = cylinder_presentation(target)
-    forward = PolyMap(src_pres, tgt_pres, forward_images)
-    backward = PolyMap(tgt_pres, src_pres, backward_images)
-    certificate = verify_iso_certificate(forward, backward)
+    certificate = verify_iso_certificate(PolyMap(src_pres, tgt_pres, forward_images),
+                                         PolyMap(tgt_pres, src_pres, backward_images))
     if not certificate.is_valid():
         raise RuntimeError("cylinder isomorphism failed certificate verification")
-
-    fiber_product = with_coordinate(model_src, "w", c_aux)
-    return CylinderConstruction(
-        source=source,
-        target=target,
-        source_class=c_src,
-        target_class=c_tgt,
-        aux_class=c_aux,
-        aux_power=aux_power,
-        split_aux_over_source=split_p,
-        split_source_over_aux=split_q,
-        split_aux_over_target=split_p2,
-        split_target_over_aux=split_q2,
-        fiber_product=fiber_product,
-        certificate=certificate,
-    )
+    return CylinderConstruction(source=source, target=target, source_class=c_src,
+                                target_class=c_tgt, aux_class=classes["aux"], aux_power=aux_power,
+                                splittings=splittings, certificate=certificate)
 
 
 def cylinder_iso(

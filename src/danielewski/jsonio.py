@@ -2,16 +2,20 @@
 
 All rationals serialize as strings ``p/q`` and polynomials in their canonical
 text form; documents are rendered with sorted keys so byte-identical output
-for identical input is guaranteed.  Proof objects restrict presentations to a
-single generator: division by one polynomial is canonical, so every recorded
-claim can be replayed by plain polynomial arithmetic, with no basis
-computation on the verifier's side.
+for identical input is guaranteed.  Class documents are read back strictly:
+rationals only in that form, exponents, pairs and multiplicities only as JSON
+integers.  Proof objects restrict presentations to a single generator:
+division by one polynomial is canonical, so every recorded claim can be
+replayed by plain polynomial arithmetic, with no basis computation on the
+verifier's side.  A construction's four splittings are written and replayed
+by the rows of ``cylinder.SPLITTINGS``, the table the construction solves.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 import zlib
 from fractions import Fraction
 from math import lcm, prod
@@ -20,8 +24,8 @@ from pathlib import Path
 from .cech import CechClass, equivariant_class, orbit_equivalent, pic_group, pole_profile
 from .cech import surface_class
 from .cylinder import (
-    AUX_POWERS, CYLINDER_RING, CounterexamplePair, CylinderConstruction, FiberCoordinate,
-    GluedModel, InvariantReport, Splitting, auxiliary_class, verify_splitting,
+    AUX_POWERS, CYLINDER_RING, SPLITTINGS, CounterexamplePair, CylinderConstruction,
+    InvariantReport, Splitting, _transport, auxiliary_class, torsor_to_glued, verify_splitting,
 )
 from .errors import ProofFormatError, UnsupportedError
 from .fibration import (
@@ -38,8 +42,7 @@ from .fibration import (
 from .ideals import Claim, IdealPresentation, IsoCertificate, PolyMap, leading_term
 from .ideals import round_trip_residual
 from .ratpoly import (
-    MAX_DIGITS, LaurentPoly, MultiPoly, as_fraction, fraction_str, poly_from_str, ring_embed,
-    substitute,
+    MAX_DIGITS, LaurentPoly, MultiPoly, fraction_str, poly_from_str, ring_embed, substitute,
 )
 from .surfexpr import parse_surface
 
@@ -76,14 +79,6 @@ def read_json(path: str):
 # -- primitive encoders -------------------------------------------------
 
 
-def laurent_to_json(g: LaurentPoly) -> list:
-    return [[e, fraction_str(c)] for e, c in sorted(g.terms.items(), reverse=True)]
-
-
-def laurent_from_json(data, variable: str, center) -> LaurentPoly:
-    return LaurentPoly(variable, {int(e): as_fraction(c) for e, c in data}, center)
-
-
 def curve_to_json(curve: MultifoldCurve) -> dict:
     return {
         "base_variable": curve.base_variable,
@@ -97,38 +92,55 @@ def curve_to_json(curve: MultifoldCurve) -> dict:
     }
 
 
-def curve_from_json(data) -> MultifoldCurve:
-    points = tuple(
-        MarkedPoint(
-            as_fraction(pt["location"]),
-            tuple((b["id"], int(b["multiplicity"])) for b in pt["branches"]),
-        )
-        for pt in data["marked_points"]
-    )
-    return MultifoldCurve(data["base_variable"], points)
-
-
 def class_to_json(c: CechClass) -> dict:
     parts = [
         {
             "location": fraction_str(location),
             "pair": list(pair),
-            "terms": laurent_to_json(g),
+            "terms": [[e, fraction_str(c)] for e, c in sorted(g.terms.items(), reverse=True)],
         }
         for (location, pair), g in c.sorted_items()
     ]
     return {"curve": curve_to_json(c.curve), "parts": parts, "display": class_display(c)}
 
 
-def class_from_json(data) -> CechClass:
-    curve = curve_from_json(data["curve"])
+# a rational in the text form ``fraction_str`` writes: p, or p/q with q > 0
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def _rational(text, where: str) -> Fraction:
+    """A ``_RATIONAL`` string of at most ``MAX_DIGITS`` digits in p and in q."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ProofFormatError(f"{where} must be a rational p or p/q in a JSON string")
+    if max(map(len, match.groups(""))) > MAX_DIGITS:
+        raise ProofFormatError(f"{where} has a part of more than {MAX_DIGITS} digits")
+    return Fraction(text)
+
+
+def class_from_json(data, where: str = "class") -> CechClass:
+    """A class document, read strictly: rationals only as ``_RATIONAL``
+    strings, exponents, pairs and multiplicities only as JSON integers, else
+    ``ProofFormatError``.  Parts that are no class raise as ``CechClass`` does."""
+    if not isinstance(data, dict):
+        raise ProofFormatError(f"{where} must be a JSON object")
+    curve_doc, at = _field(data, "curve", dict, where), f"{where}.curve"
+    points = tuple(
+        MarkedPoint(_rational(pt.get("location"), f"{at}.location"),
+                    tuple((_field(b, "id", str, at), _field(b, "multiplicity", int, at))
+                          for b in _field(pt, "branches", list, at, dict)))
+        for pt in _field(curve_doc, "marked_points", list, at, dict))
+    curve = MultifoldCurve(_field(curve_doc, "base_variable", str, at), points)
     parts = {}
-    for entry in data["parts"]:
-        location = as_fraction(entry["location"])
-        pair = tuple(int(i) for i in entry["pair"])
-        parts[(location, pair)] = laurent_from_json(
-            entry["terms"], curve.base_variable, location
-        )
+    for k, entry in enumerate(_field(data, "parts", list, where, dict)):
+        at = f"{where}.parts[{k}]"
+        location = _rational(entry.get("location"), f"{at}.location")
+        pair = tuple(_field(entry, "pair", list, at, int))
+        terms = _field(entry, "terms", list, at, list)
+        if len(pair) != 2 or not all(len(t) == 2 and _is(t[0], int) for t in terms):
+            raise ProofFormatError(f"{at}: a pair is two integers, a term [integer, rational]")
+        parts[(location, pair)] = LaurentPoly(
+            curve.base_variable, {e: _rational(c, f"{at}.terms") for e, c in terms}, location)
     return CechClass(curve, parts)
 
 
@@ -201,14 +213,6 @@ def surface_to_json(s: DanielewskiSurface) -> dict:
         "variant": s.variant.value,
         "roots": roots_to_json(s.roots),
         "smooth": True,
-    }
-
-
-def splitting_to_json(s: Splitting) -> dict:
-    return {
-        "chart_ring": list(s.chart_ring),
-        "degree_bound": s.degree_bound,
-        "per_chart": [str(h) for h in s.per_chart],
     }
 
 
@@ -285,25 +289,24 @@ def analysis_report(surface: DanielewskiSurface) -> dict:
 # -- proof objects ----------------------------------------------------------
 
 
+def fiber_product_to_json(source_class: dict, aux_class: dict) -> dict:
+    """The fiber product of the source and auxiliary torsors from their class
+    documents: v glued by the source class, w by the auxiliary class."""
+    return {"chart_ring": ["x", "v", "w"],
+            "coordinates": [{"name": "v", "class": source_class}, {"name": "w", "class": aux_class}]}
+
+
 def construction_to_json(con: CylinderConstruction) -> dict:
+    source_class, aux_class = class_to_json(con.source_class), class_to_json(con.aux_class)
     return {
-        "source_class": class_to_json(con.source_class),
+        "source_class": source_class,
         "target_class": class_to_json(con.target_class),
-        "aux_class": class_to_json(con.aux_class),
+        "aux_class": aux_class,
         "aux_power": con.aux_power,
-        "splittings": {
-            "aux_over_source": splitting_to_json(con.split_aux_over_source),
-            "source_over_aux": splitting_to_json(con.split_source_over_aux),
-            "aux_over_target": splitting_to_json(con.split_aux_over_target),
-            "target_over_aux": splitting_to_json(con.split_target_over_aux),
-        },
-        "fiber_product": {
-            "chart_ring": list(con.fiber_product.chart_ring),
-            "coordinates": [
-                {"name": f.name, "class": class_to_json(f.transitions)}
-                for f in con.fiber_product.coordinates
-            ],
-        },
+        "splittings": {tag: {"chart_ring": list(s.chart_ring), "degree_bound": s.degree_bound,
+                             "per_chart": [str(h) for h in s.per_chart]}
+                       for tag, s in con.splittings.items()},
+        "fiber_product": fiber_product_to_json(source_class, aux_class),
     }
 
 
@@ -337,18 +340,20 @@ def counterexample_proof(pair: CounterexamplePair) -> dict:
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer"}
-_SPLITTING_TAGS = ("aux_over_source", "source_over_aux", "aux_over_target", "target_over_aux")
+
+
+def _is(value, kind: type) -> bool:
+    """Whether ``value`` has JSON type ``kind``; a ``bool`` is no JSON integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def _field(obj: dict, key: str, kind: type, where: str, items: type | None = None):
     """``obj[key]`` if it has JSON type ``kind`` (an array of ``items``), else
-    raise.  A JSON boolean is no integer, though ``bool`` subclasses ``int``."""
+    raise ``ProofFormatError``."""
     if key not in obj:
         raise ProofFormatError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)) or (
-        items is not None and not all(isinstance(v, items) for v in value)
-    ):
+    if not _is(value, kind) or (items is not None and not all(_is(v, items) for v in value)):
         of = f" of {_JSON_TYPES[items]}s" if items else ""
         raise ProofFormatError(f"{where}.{key} must be a JSON {_JSON_TYPES[kind]}{of}")
     return value
@@ -398,7 +403,7 @@ def _check_proof_shape(doc) -> dict:
     construction = _field(doc, "construction", dict, "proof")
     _field(construction, "aux_power", int, "construction")
     splittings = _field(construction, "splittings", dict, "construction")
-    for tag in _SPLITTING_TAGS:
+    for tag, *_ in SPLITTINGS:
         where = f"construction.splittings.{tag}"
         data = _field(splittings, tag, dict, "construction.splittings")
         _field(data, "chart_ring", list, where, str)
@@ -619,14 +624,12 @@ def _verify_construction(construction: dict, classes: dict) -> list[str]:
     ``target_class`` are the ``classes`` of the two equations (by side, for
     the sides computed), ``aux_power`` is one the construction tries,
     ``aux_class`` is ``cylinder.auxiliary_class`` of the recorded classes,
-    ``fiber_product`` glues v by ``source_class`` and w by ``aux_class``, and
-    each splitting identity holds, with one polynomial per chart of its
-    class's curve, none above its degree bound."""
+    ``fiber_product`` is ``fiber_product_to_json`` of theirs, and each row of
+    ``cylinder.SPLITTINGS`` replays on them (``_replay_splitting``)."""
     try:
-        c_src = class_from_json(construction["source_class"])
-        c_tgt = class_from_json(construction["target_class"])
-        c_aux = class_from_json(construction["aux_class"])
-    except Exception as exc:  # malformed class data
+        recorded = {role: class_from_json(construction[f"{role}_class"], f"construction.{role}_class")
+                    for role in ("source", "target", "aux")}
+    except (ValueError, KeyError) as exc:  # malformed class data, or parts that are no class
         return [f"construction classes unreadable: {exc}"]
     failures = [f"construction: {side}_class is not the class of the {side} equation"
                 for side, c in classes.items()
@@ -637,36 +640,46 @@ def _verify_construction(construction: dict, classes: dict) -> list[str]:
         failures.append(f"construction: aux_power {power} is not one of {AUX_POWERS}")
     else:
         try:
-            deepened = auxiliary_class(c_src, c_tgt, power) == c_aux
-        except ValueError:  # the recorded classes lie on different curves
-            deepened = False
-        if not deepened:
+            deepened = auxiliary_class(recorded["source"], recorded["target"], power)
+        except (ValueError, KeyError):  # the target class does not re-curve to the source curve
+            deepened = None
+        if deepened != recorded["aux"]:
             failures.append("construction: aux_class is not the shallower class deepened by aux_power")
-    glued = {"chart_ring": ["x", "v", "w"], "coordinates": [
-        {"name": "v", "class": construction["source_class"]},
-        {"name": "w", "class": construction["aux_class"]}]}
+    glued = fiber_product_to_json(construction["source_class"], construction["aux_class"])
     if json.dumps(construction.get("fiber_product"), sort_keys=True) != json.dumps(glued, sort_keys=True):
         failures.append("construction: fiber_product is not v over source_class and w over aux_class")
+    for row in SPLITTINGS:
+        replayed = _replay_splitting(construction["splittings"][row[0]], row, recorded)
+        failures.extend(f"splitting {row[0]}: {failure}" for failure in replayed)
+    return failures
 
-    def replay(tag: str, transitions: CechClass, pullback: CechClass):
-        data = construction["splittings"][tag]
-        ring = tuple(data["chart_ring"])
-        per_chart = tuple(_proof_poly(text, ring, f"splitting {tag}") for text in data["per_chart"])
-        splitting = Splitting(ring, per_chart, int(data["degree_bound"]))
-        model = GluedModel(transitions.curve, (FiberCoordinate(ring[1], transitions),))
-        if len(per_chart) != model.n_charts:
-            failures.append(f"splitting {tag}: per_chart has {len(per_chart)} entries "
-                            f"for {model.n_charts} charts")
-            return
-        if any(h.total_degree() > splitting.degree_bound for h in per_chart):
-            failures.append(f"splitting {tag}: a per_chart polynomial exceeds the degree_bound")
-        if pullback.curve != transitions.curve:
-            pullback = CechClass(transitions.curve, dict(pullback.parts))
-        if not verify_splitting(model, pullback, splitting):
-            failures.append(f"splitting {tag}: identity fails on re-expansion")
 
-    replay("aux_over_source", c_src, c_aux)
-    replay("source_over_aux", c_aux, c_src)
-    replay("aux_over_target", c_tgt, c_aux)
-    replay("target_over_aux", c_aux, c_tgt)
+def _replay_splitting(data: dict, row: tuple, classes: dict) -> list[str]:
+    """The failures of one recorded splitting, posed by its ``SPLITTINGS``
+    row on the recorded ``classes`` by role.  In order: the chart model
+    (``torsor_to_glued``), its ring as ``chart_ring``, one ``per_chart`` per
+    chart, the ``degree_bound``, the split class re-curved to the chart curve
+    (``_transport``) and the identity.  Each step but the bound ends the
+    replay when it fails; an error posing the row is a failure."""
+    _, charts, coordinate, split = row
+    try:
+        model = torsor_to_glued(classes[charts], coordinate)
+    except UnsupportedError as exc:
+        return [f"no chart model of the {charts} class: {exc}"]
+    if tuple(data["chart_ring"]) != model.chart_ring:
+        return [f"chart_ring is not {', '.join(model.chart_ring)}"]
+    per_chart = tuple(_proof_poly(text, model.chart_ring, f"splitting {row[0]}")
+                      for text in data["per_chart"])
+    if len(per_chart) != model.n_charts:
+        return [f"per_chart has {len(per_chart)} entries for {model.n_charts} charts"]
+    failures = []
+    if any(h.total_degree() > data["degree_bound"] for h in per_chart):
+        failures.append("a per_chart polynomial exceeds the degree_bound")
+    try:
+        pullback = _transport(classes[split], model.curve)
+    except (ValueError, KeyError) as exc:
+        return [*failures, f"the {split} class does not re-curve to the {charts} curve: {exc}"]
+    splitting = Splitting(model.chart_ring, per_chart, data["degree_bound"])
+    if not verify_splitting(model, pullback, splitting):
+        failures.append("identity fails on re-expansion")
     return failures

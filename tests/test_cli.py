@@ -460,6 +460,113 @@ def test_a_json_integer_of_too_many_digits_is_an_input_error(tmp_path, capsys):
     assert (code, out) == (2, "") and f"more than {MAX_DIGITS} digits" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, "1e10000000"),  # Fraction reads it, slowly
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, "1" + "0" * 5000),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, "1.5"),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, " 3 "),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, "1_000"),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, 3),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(1, "3/0"),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(0, -2.7),
+    lambda c: c["parts"][0]["terms"][0].__setitem__(0, "-1"),
+    lambda c: c["parts"][0].__setitem__("pair", [False, True]),
+    lambda c: c["parts"][0].__setitem__("pair", [0, 1, 2]),
+    lambda c: c["curve"]["marked_points"][0]["branches"][0].__setitem__("multiplicity", 1.0),
+    lambda c: c["curve"]["marked_points"][0].__setitem__("location", 0),
+    lambda c: c.__setitem__("parts", 5),
+], ids=["exponent-notation", "5001-digits", "decimal-point", "spaces", "underscore", "number",
+        "zero-denominator", "float-exponent", "string-exponent", "boolean-pair", "three-pair",
+        "float-multiplicity", "number-location", "parts-not-an-array"])
+def test_a_class_document_is_read_strictly(tmp_path, capsys, edit):
+    """Rationals only as p or p/q strings of at most MAX_DIGITS digits, and
+    exponents, pairs and multiplicities only as JSON integers; anything else
+    exits 2 at once, on every Python version."""
+    code, out, _ = run(capsys, "cocycle", "profile", "2*x^-1")
+    doc = json.loads(out)["input"]
+    edit(doc)
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cocycle", "profile", f"@{path}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err.startswith("input error:")
+
+
+def test_a_class_document_reads_the_text_form_of_rationals(tmp_path, capsys):
+    code, out, _ = run(capsys, "cocycle", "profile", "2*x^-1")
+    doc = json.loads(out)["input"]
+    doc["parts"][0]["terms"] = [[-2, "3/2"], [-1, "-7"], [-3, "0"]]
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    code, doc, _ = run_json(capsys, "cocycle", "profile", f"@{path}")
+    assert code == 0
+    assert doc["input"]["parts"][0]["terms"] == [[-1, "-7"], [-2, "3/2"]]
+
+
+def test_verify_reports_the_splittings_the_recorded_classes_cannot_pose(tmp_path, capsys):
+    """A splitting the recorded classes do not pose (a chart ring that is not
+    its row's, a class on another curve) is a named failure of that
+    splitting, with the report printed: no traceback and no refusal."""
+    proof_path = tmp_path / "proof.json"
+    run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",
+        "--out", str(proof_path))
+    original = json.loads(proof_path.read_text())
+
+    def reported(edit):
+        doc = copy.deepcopy(original)
+        edit(doc["construction"])
+        proof_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(proof_path))
+        assert (code, err) == (1, "")
+        return json.loads(out)["failures"]
+
+    for ring in (["x"], []):
+        def short_ring(c, ring=ring):
+            c["splittings"]["aux_over_source"].update(chart_ring=ring, per_chart=["0", "0"])
+
+        assert reported(short_ring) == ["splitting aux_over_source: chart_ring is not x, v"]
+
+    def source_on_three_branches(c):  # a valid cocycle on three branches
+        c["source_class"]["curve"]["marked_points"][0]["branches"].append(
+            {"id": "y=5", "multiplicity": 1})
+        c["source_class"]["parts"] = [
+            {"location": "0", "pair": pair, "terms": [[-1, coefficient]]}
+            for pair, coefficient in (([0, 1], "2"), ([0, 2], "-4"), ([1, 2], "-6"))]
+
+    assert reported(source_on_three_branches) == [
+        "construction: source_class is not the class of the source equation",
+        "construction: aux_class is not the shallower class deepened by aux_power",
+        "construction: fiber_product is not v over source_class and w over aux_class",
+        "splitting aux_over_source: per_chart has 2 entries for 3 charts",
+        "splitting source_over_aux: the source class does not re-curve to the aux curve: "
+        "invalid branch pair (0, 2) at 0",
+    ]
+
+    def target_at_one(c):
+        c["target_class"]["curve"]["marked_points"][0]["location"] = "1"
+        for part in c["target_class"]["parts"]:
+            part["location"] = "1"
+
+    assert reported(target_at_one) == [
+        "construction: target_class is not the class of the target equation",
+        "splitting aux_over_target: no chart model of the target class: "
+        "chart models expect the marked point at 0",
+        "splitting target_over_aux: the target class does not re-curve to the aux curve: "
+        "'no marked point at 1'",
+    ]
+
+    # a class read strictly: an unreadable rational is named at once
+    def slow_rational(c):
+        c["aux_class"]["parts"][0]["terms"][0][1] = "1e10000000"
+
+    start = time.perf_counter()
+    failures = reported(slow_rational)
+    assert time.perf_counter() - start < 1
+    assert failures == ["construction classes unreadable: construction.aux_class.parts[0]"
+                        ".terms must be a rational p or p/q in a JSON string"]
+
+
 def test_verify_large_exponent_is_a_failure_not_a_traceback(tmp_path, capsys):
     proof_path = tmp_path / "proof.json"
     run(capsys, "cylinder-iso", "x z = (y - 1) (y + 1)", "x^2 z = (y - 1) (y + 1)",

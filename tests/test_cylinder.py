@@ -12,7 +12,9 @@ from danielewski import cylinder, ideals
 from danielewski.cech import class_normal_form, divide_by_power, surface_class, zero_class
 from danielewski.cylinder import (
     CYLINDER_RING,
+    SPLITTINGS,
     CylinderConstruction,
+    FiberCoordinate,
     GluedModel,
     Splitting,
     counterexample_pair,
@@ -23,7 +25,6 @@ from danielewski.cylinder import (
     splitting_solve,
     torsor_to_glued,
     verify_splitting,
-    with_coordinate,
 )
 from danielewski.cli import main
 from danielewski.errors import NoSplittingFound, NotComparable, UnsupportedError
@@ -126,10 +127,15 @@ def test_chart_embedding_s1():
     assert_global_functions_of(s, model, charts)
 
 
+def two_coordinates(c_v, c_w):
+    """The chart model gluing v by ``c_v`` and w by ``c_w`` on their one curve."""
+    return GluedModel(c_v.curve, (FiberCoordinate("v", c_v), FiberCoordinate("w", c_w)))
+
+
 def test_fiber_product_transitions_consistent():
     s = s_family(0)
     c = surface_class(s)
-    model = with_coordinate(torsor_to_glued(c, "v"), "w", divide_by_power(c, 1))
+    model = two_coordinates(c, divide_by_power(c, 1))
     assert model.chart_ring == ("x", "v", "w")
     assert model.transition_shifts(0, 1) == [{-1: Fraction(2)}, {-2: Fraction(2)}]
 
@@ -188,8 +194,7 @@ TWO_TERM = single(DOUBLE, "x^-2 + 3*x^-1")
 
 @pytest.mark.parametrize("model, pullback", [
     (torsor_to_glued(TWO_TERM, "v"), divide_by_power(TWO_TERM, 1)),
-    (with_coordinate(torsor_to_glued(TWO_TERM, "v"), "w", divide_by_power(TWO_TERM, 1)),
-     divide_by_power(TWO_TERM, 2)),
+    (two_coordinates(TWO_TERM, divide_by_power(TWO_TERM, 1)), divide_by_power(TWO_TERM, 2)),
 ])
 def test_verify_splitting_rejects_one_changed_coefficient(model, pullback):
     splitting = splitting_solve(model, pullback)
@@ -230,7 +235,7 @@ def test_writing_across_a_transition_and_back_is_the_identity(r, potentials, ter
                  for i, j in itertools.combinations(range(r), 2)}
         classes.append(class_normal_form({k: g for k, g in parts.items() if not g.is_zero()},
                                          curve))
-    model = with_coordinate(torsor_to_glued(classes[0], "v"), "w", classes[1])
+    model = two_coordinates(*classes)
     h = MultiPoly(model.chart_ring, terms)
     i, j = data.draw(st.sampled_from(model.branch_pairs()))
     there, on_i = cylinder._across(model, h, i, j)
@@ -474,10 +479,22 @@ def test_construction_record_contents():
     assert con.target_class.part(0, 0, 1) == lp("2*x^-2")
     assert con.aux_class.part(0, 0, 1) == lp("2*x^-2")
     assert con.aux_power == 1
-    assert con.fiber_product.chart_ring == ("x", "v", "w")
-    # every stored splitting satisfies its identity (re-verified independently)
-    model_src = torsor_to_glued(con.source_class, "v")
-    assert verify_splitting(model_src, con.aux_class, con.split_aux_over_source)
+    # every stored splitting satisfies the identity its table row poses
+    # (re-verified independently); the classes share one curve here
+    classes = {"source": con.source_class, "target": con.target_class, "aux": con.aux_class}
+    assert list(con.splittings) == [tag for tag, *_ in SPLITTINGS]
+    for tag, charts, coordinate, split in SPLITTINGS:
+        model = torsor_to_glued(classes[charts], coordinate)
+        assert con.splittings[tag].chart_ring == ("x", coordinate)
+        assert verify_splitting(model, classes[split], con.splittings[tag])
+    # the proof writes them, and the fiber product, in table order
+    doc = cylinder_proof(con)["construction"]
+    assert list(doc["splittings"]) == list(con.splittings)
+    assert doc["fiber_product"] == {
+        "chart_ring": ["x", "v", "w"],
+        "coordinates": [{"name": "v", "class": doc["source_class"]},
+                        {"name": "w", "class": doc["aux_class"]}],
+    }
 
 
 # Two-root depth pairs (n_source, n_target) that the degree schedule splits
