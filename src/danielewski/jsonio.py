@@ -661,14 +661,14 @@ def _replay_splitting(data: dict, row: tuple, classes: dict) -> list[str]:
     chart, the ``degree_bound``, the split class re-curved to the chart curve
     (``_transport``) and the identity.  Each step but the bound ends the
     replay when it fails; an error posing the row is a failure."""
-    _, charts, coordinate, split = row
+    tag, charts, coordinate, split = row
     try:
         model = torsor_to_glued(classes[charts], coordinate)
     except UnsupportedError as exc:
         return [f"no chart model of the {charts} class: {exc}"]
     if tuple(data["chart_ring"]) != model.chart_ring:
         return [f"chart_ring is not {', '.join(model.chart_ring)}"]
-    per_chart = tuple(_proof_poly(text, model.chart_ring, f"splitting {row[0]}")
+    per_chart = tuple(_proof_poly(text, model.chart_ring, f"splitting {tag}")
                       for text in data["per_chart"])
     if len(per_chart) != model.n_charts:
         return [f"per_chart has {len(per_chart)} entries for {model.n_charts} charts"]
